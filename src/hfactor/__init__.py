@@ -16,9 +16,11 @@ from .constructions import (
     canonical_partition,
     kr_minus,
     kr_minus_extremal,
+    kr_minus_threshold,
     multipartite_extremal,
     remainder_pattern,
     remainder_pattern_order,
+    sparse_class_size,
 )
 from .errors import (
     BadParameter,
@@ -91,7 +93,6 @@ from .tidy import (
     VertexClassification,
     adjust_for_divisibility,
     classify,
-    extract_disjoint_cliques,
     remove_proportional_batch,
     swap_bad_exceptional,
     tidy,

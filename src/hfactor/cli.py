@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from fractions import Fraction
 
 from . import constructions, generators, pipeline
@@ -35,10 +34,6 @@ from .invariants import (
 )
 from .solver import SearchStats, find_perfect_packing, max_packing_size, verify_packing
 from .tidy import tidy
-
-
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _emit(data: dict) -> None:
@@ -71,14 +66,13 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     h = read_edge_list(args.pattern)
     g = read_edge_list(args.host)
     stats = SearchStats()
-    t0 = time.monotonic()
     if args.max:
         size = max_packing_size(h, g, args.budget_secs, stats=stats)
         _emit(
             {
                 "max_packing_size": size,
                 "nodes_explored": stats.nodes,
-                "elapsed": time.monotonic() - t0,
+                "elapsed": stats.elapsed,
             }
         )
         return 0
@@ -87,7 +81,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         "decision": "exists" if packing is not None else "absent",
         "packing": [list(c.vertices) for c in packing.copies] if packing else None,
         "nodes_explored": stats.nodes,
-        "elapsed": time.monotonic() - t0,
+        "elapsed": stats.elapsed,
     }
     if packing is not None and not verify_packing(h, g, packing, require_perfect=True):
         raise HFactorError("internal: packing failed verification")
@@ -233,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", required=True, help="JSON class sidecar")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--tau", type=_fraction, default=None)
+    p.add_argument("--tau", type=Fraction, default=None)
     p.set_defaults(func=_cmd_hallpack)
 
     p = sub.add_parser("tidy", help="canonicalize a sparse-class partition")
     p.add_argument("--host", required=True)
     p.add_argument("--sparse", required=True, help="JSON sidecar with the sparse classes")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--tau", type=_fraction, required=True)
+    p.add_argument("--tau", type=Fraction, required=True)
     p.set_defaults(func=_cmd_tidy)
 
     p = sub.add_parser("pipeline", help="full decide-and-construct run")
@@ -274,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except Timeout as exc:
         _emit({"decision": "timeout", "detail": str(exc)})
         return 2
-    except HFactorError as exc:
+    except (HFactorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

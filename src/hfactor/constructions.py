@@ -32,6 +32,17 @@ def kr_minus(r: int) -> Graph:
     return Graph(r, adj)
 
 
+def kr_minus_threshold(r: int) -> Fraction:
+    """1 - 1/chi_cr(K_r^-) = 1 - (r-1)/(r(r-2)), the degree coefficient
+    of the perfect-packing threshold for the clique-minus-an-edge pattern."""
+    return 1 - Fraction(r - 1, r * (r - 2))
+
+
+def sparse_class_size(r: int, n: int) -> int:
+    """ceil((r-1) n / (r(r-2))), the size of each sparse class of an n-vertex host."""
+    return math.ceil(Fraction((r - 1) * n, r * (r - 2)))
+
+
 def bottle_graph(h: Graph) -> Graph:
     """Complete chi-partite graph with chi-1 classes of size |H| - sigma
     and one class of size (chi - 1) sigma; packs chi - 1 copies of h."""
@@ -60,8 +71,7 @@ def kr_minus_extremal(r: int, k: int) -> Graph:
     if sizes[0] == 0:
         sizes = sizes[1:]  # k = 1: the deficient class is empty
     g = complete_multipartite(sizes)
-    chi_cr = Fraction(r * (r - 2), r - 1)
-    expected = math.ceil((1 - 1 / chi_cr) * n) - 1
+    expected = math.ceil(kr_minus_threshold(r) * n) - 1
     if min_degree(g) != expected:
         raise InternalError(
             f"blocker min degree {min_degree(g)} != {expected} for r={r}, k={k}"
@@ -129,7 +139,7 @@ class CanonicalSpec:
 
     @property
     def sparse_size(self) -> int:
-        return (self.r - 1) * self.n // (self.r * (self.r - 2))
+        return sparse_class_size(self.r, self.n)
 
     @property
     def remainder_size(self) -> int:
@@ -266,7 +276,9 @@ __all__ = [
     "canonical_partition",
     "kr_minus",
     "kr_minus_extremal",
+    "kr_minus_threshold",
     "multipartite_extremal",
     "remainder_pattern",
     "remainder_pattern_order",
+    "sparse_class_size",
 ]

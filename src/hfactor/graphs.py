@@ -18,10 +18,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BadSizes, DegenerateSet, EmptyGraph, OverlappingSets
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def bits_of(mask: int) -> Iterator[int]:
     """Iterate set bit positions of a mask in ascending order."""
     while mask:
@@ -49,7 +45,7 @@ class VertexSet:
         return cls(bits, host_n)
 
     def __len__(self) -> int:
-        return _popcount(self.bits)
+        return self.bits.bit_count()
 
     def __iter__(self) -> Iterator[int]:
         return bits_of(self.bits)
@@ -65,9 +61,6 @@ class VertexSet:
 
     def __sub__(self, other: "VertexSet") -> "VertexSet":
         return VertexSet(self.bits & ~other.bits, self.host_n)
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(((1 << self.host_n) - 1) & ~self.bits, self.host_n)
 
     def to_list(self) -> list[int]:
         return list(self)
@@ -128,10 +121,10 @@ class Graph:
         return cls(n, adj, labels)
 
     def degree(self, v: int) -> int:
-        return _popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def edge_count(self) -> int:
-        return sum(_popcount(row) for row in self.adj) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -203,15 +196,6 @@ class Partition:
     def __getitem__(self, i: int) -> VertexSet:
         return self.classes[i]
 
-    def covered(self) -> VertexSet:
-        bits = 0
-        for c in self.classes:
-            bits |= c.bits
-        return VertexSet(bits, self.host_n)
-
-    def remainder(self) -> VertexSet:
-        return self.covered().complement()
-
     def class_of(self) -> list[int]:
         """Vertex -> class index map; -1 for vertices outside every class."""
         out = [-1] * self.host_n
@@ -231,21 +215,15 @@ def min_degree(g: Graph) -> int:
     return min(g.degree(v) for v in range(g.n))
 
 
-def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        raise EmptyGraph("maximum degree of the empty graph")
-    return max(g.degree(v) for v in range(g.n))
-
-
 def edges_within(g: Graph, a: VertexSet) -> int:
     """Number of edges of g with both ends in a."""
-    return sum(_popcount(g.adj[v] & a.bits) for v in a) // 2
+    return sum((g.adj[v] & a.bits).bit_count() for v in a) // 2
 
 
 def edges_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
     if a.bits & b.bits:
         raise OverlappingSets("edge count between overlapping sets")
-    return sum(_popcount(g.adj[v] & b.bits) for v in a)
+    return sum((g.adj[v] & b.bits).bit_count() for v in a)
 
 
 def density_within(g: Graph, a: VertexSet) -> Fraction:
@@ -294,18 +272,46 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, [0] * n)
 
 
+def contracted_adjacency(
+    g: Graph, keep: Sequence[int], groups: Sequence[Iterable[int]]
+) -> list[int]:
+    """Adjacency of G[keep] plus one vertex per group, in the order given.
+
+    ``keep[i]`` becomes vertex i and ``groups[j]`` vertex len(keep) + j.
+    A group's vertex is adjacent to exactly the kept vertices that are
+    joined to every member of the group; groups are pairwise nonadjacent.
+    """
+    bit_of: dict[int, int] = {}
+    keep_bits = 0
+    for i, v in enumerate(keep):
+        bit_of[v] = 1 << i
+        keep_bits |= 1 << v
+
+    def local(mask: int) -> int:
+        row = 0
+        for w in bits_of(mask & keep_bits):
+            row |= bit_of[w]
+        return row
+
+    adj = [local(g.adj[v]) for v in keep]
+    for group in groups:
+        common = keep_bits
+        for v in group:
+            common &= g.adj[v]
+        adj.append(local(common))
+    for j in range(len(keep), len(adj)):
+        for i in bits_of(adj[j]):
+            adj[i] |= 1 << j
+    return adj
+
+
 def induced(g: Graph, a: VertexSet) -> Graph:
     """Induced subgraph; vertex order inherited ascending, origin retained."""
     verts = a.to_list()
     if not verts:
         raise DegenerateSet("induced subgraph of the empty set")
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for w in bits_of(g.adj[v] & a.bits):
-            adj[i] |= 1 << index[w]
     labels = [g.labels[v] for v in verts] if g.labels is not None else None
-    return Graph(len(verts), adj, labels, origin=verts)
+    return Graph(len(verts), contracted_adjacency(g, verts, ()), labels, origin=verts)
 
 
 def disjoint_union(parts: Sequence[Graph]) -> Graph:

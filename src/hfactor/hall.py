@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .constructions import apex_multipartite
 from .errors import BadParameter
-from .graphs import Graph, Partition, VertexSet, bits_of
+from .graphs import Graph, Partition, VertexSet, bits_of, contracted_adjacency
 from .solver import Copy, Packing
 
 logger = logging.getLogger(__name__)
@@ -156,29 +156,14 @@ def contract_stars(g: Graph, sp: StarPacking, rest: list[VertexSet]) -> tuple[Gr
     for c in rest:
         rest_bits |= c.bits
     rest_verts = list(bits_of(rest_bits))
-    index = {v: i for i, v in enumerate(rest_verts)}
-    n_rest = len(rest_verts)
-    stars = sorted(sp.stars)
-    n = n_rest + len(stars)
-    adj = [0] * n
-    for i, v in enumerate(rest_verts):
-        for w in bits_of(g.adj[v] & rest_bits):
-            adj[i] |= 1 << index[w]
-    for si, (center, star_leaves) in enumerate(stars):
-        common = g.adj[center]
-        for leaf in star_leaves:
-            common &= g.adj[leaf]
-        xi = n_rest + si
-        for v in bits_of(common & rest_bits):
-            adj[index[v]] |= 1 << xi
-            adj[xi] |= 1 << index[v]
-    back_map = [(v,) for v in rest_verts]
-    back_map += [tuple(sorted((c,) + ls)) for c, ls in stars]
+    stars = [tuple(sorted((c,) + ls)) for c, ls in sorted(sp.stars)]
+    adj = contracted_adjacency(g, rest_verts, stars)
+    back_map = [(v,) for v in rest_verts] + stars
     labels = None
     if g.labels is not None:
         contracted_label = max(g.labels) + 1
         labels = [g.labels[v] for v in rest_verts] + [contracted_label] * len(stars)
-    return Graph(n, adj, labels), back_map
+    return Graph(len(adj), adj, labels), back_map
 
 
 def _check_hypothesis(g: Graph, classes: list[VertexSet], tau: Fraction) -> list[str]:
@@ -229,7 +214,7 @@ def pack_apex_multipartite(
             warnings[0],
         )
 
-    copies_classes = _pack_levels(g, list(classes.classes), q, r, level=q)
+    copies_classes = _pack_levels(g, list(classes.classes), q, r)
     if isinstance(copies_classes, PackFailure):
         return copies_classes
     pattern = apex_multipartite(q, r)
@@ -244,12 +229,12 @@ def pack_apex_multipartite(
 
 
 def _pack_levels(
-    g: Graph, classes: list[VertexSet], q: int, r: int, level: int
+    g: Graph, classes: list[VertexSet], q: int, r: int
 ) -> list[list[tuple[int, ...]]] | PackFailure:
     """Recursive core; returns per-copy class groups as host-vertex tuples."""
     result = star_pack(g, classes[q - 1], classes[q], r)
     if isinstance(result, HallWitness):
-        return PackFailure(level, result)
+        return PackFailure(q, result)
     if q == 1:
         return [[leaves, (center,)] for center, leaves in result.stars]
     contracted, back_map = contract_stars(g, result, classes[: q - 1])
@@ -263,7 +248,7 @@ def _pack_levels(
         for c in classes[: q - 1]
     ]
     sub_classes.append(VertexSet.from_iterable(range(n_rest, contracted.n), contracted.n))
-    sub = _pack_levels(contracted, sub_classes, q - 1, r, level - 1)
+    sub = _pack_levels(contracted, sub_classes, q - 1, r)
     if isinstance(sub, PackFailure):
         return sub
     star_of = {}

@@ -159,25 +159,6 @@ def critical_chromatic_number(h: Graph) -> Fraction:
     return Fraction((profile.chi - 1) * h.n, h.n - profile.sigma)
 
 
-def _component_orders(h: Graph) -> list[int]:
-    seen = 0
-    orders = []
-    for v in range(h.n):
-        if (seen >> v) & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in bits_of(frontier):
-                nxt |= h.adj[u]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        orders.append(comp.bit_count())
-    return orders
-
-
 def component_sets(h: Graph) -> list[VertexSet]:
     """Connected components as vertex sets, ordered by least vertex."""
     seen = 0
@@ -214,7 +195,7 @@ def hcf_report(h: Graph) -> HcfReport:
             d_set.add(ms[i + 1] - ms[i])
     nonzero = sorted(d for d in d_set if d != 0)
     hcf_chi: int | float = math.inf if not nonzero else math.gcd(*nonzero)
-    hcf_c = math.gcd(*_component_orders(h))
+    hcf_c = math.gcd(*(len(c) for c in component_sets(h)))
     if profile.chi == 2:
         hcf_is_one = hcf_c == 1 and hcf_chi <= 2
     else:
@@ -263,48 +244,10 @@ def is_complete_multipartite(h: Graph) -> list[int] | None:
     return [m.bit_count() for m in classes]
 
 
-def brute_force_profile(h: Graph) -> ColouringProfile:
-    """Independent oracle: all set partitions into independent sets, minimal count.
-
-    Exponential in h.n; intended for cross-checks on tiny patterns only.
-    """
-    if h.n == 0:
-        raise EmptyGraph("profile of the empty graph")
-    best_parts: int | None = None
-    multisets: set[tuple[int, ...]] = set()
-
-    def extend(v: int, parts: list[int]) -> None:
-        nonlocal best_parts, multisets
-        if best_parts is not None and len(parts) > best_parts:
-            return
-        if v == h.n:
-            k = len(parts)
-            if best_parts is None or k < best_parts:
-                best_parts = k
-                multisets = set()
-            if k == best_parts:
-                multisets.add(tuple(sorted(m.bit_count() for m in parts)))
-            return
-        for i, mask in enumerate(parts):
-            if not (h.adj[v] & mask):
-                parts[i] |= 1 << v
-                extend(v + 1, parts)
-                parts[i] &= ~(1 << v)
-        parts.append(1 << v)
-        extend(v + 1, parts)
-        parts.pop()
-
-    extend(0, [])
-    assert best_parts is not None
-    sigma = min(ms[0] for ms in multisets)
-    return ColouringProfile(best_parts, sigma, frozenset(multisets))
-
-
 __all__ = [
     "ColouringProfile",
     "HcfReport",
     "MAX_PATTERN_ORDER",
-    "brute_force_profile",
     "chromatic_number",
     "colouring_profile",
     "component_sets",

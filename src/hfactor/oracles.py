@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
+from .errors import EmptyGraph
 from .graphs import Graph
+from .invariants import ColouringProfile
 
 
 def hosts_pattern(h: Graph, g: Graph, verts: tuple[int, ...]) -> bool:
@@ -69,3 +71,40 @@ def brute_force_copy_sets(h: Graph, g: Graph) -> set[tuple[int, ...]]:
     return {
         verts for verts in combinations(range(g.n), h.n) if hosts_pattern(h, g, verts)
     }
+
+
+def brute_force_profile(h: Graph) -> ColouringProfile:
+    """Independent oracle: all set partitions into independent sets, minimal count.
+
+    Exponential in h.n; intended for cross-checks on tiny patterns only.
+    """
+    if h.n == 0:
+        raise EmptyGraph("profile of the empty graph")
+    best_parts: int | None = None
+    multisets: set[tuple[int, ...]] = set()
+
+    def extend(v: int, parts: list[int]) -> None:
+        nonlocal best_parts, multisets
+        if best_parts is not None and len(parts) > best_parts:
+            return
+        if v == h.n:
+            k = len(parts)
+            if best_parts is None or k < best_parts:
+                best_parts = k
+                multisets = set()
+            if k == best_parts:
+                multisets.add(tuple(sorted(m.bit_count() for m in parts)))
+            return
+        for i, mask in enumerate(parts):
+            if not (h.adj[v] & mask):
+                parts[i] |= 1 << v
+                extend(v + 1, parts)
+                parts[i] &= ~(1 << v)
+        parts.append(1 << v)
+        extend(v + 1, parts)
+        parts.pop()
+
+    extend(0, [])
+    assert best_parts is not None
+    sigma = min(ms[0] for ms in multisets)
+    return ColouringProfile(best_parts, sigma, frozenset(multisets))

@@ -19,9 +19,15 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .constructions import kr_minus, remainder_pattern, remainder_pattern_order
+from .constructions import (
+    kr_minus,
+    kr_minus_threshold,
+    remainder_pattern,
+    remainder_pattern_order,
+    sparse_class_size,
+)
 from .errors import BadParameter, InternalError, Stuck, Timeout
-from .graphs import Graph, Partition, VertexSet, bits_of, edges_within, induced
+from .graphs import Graph, Partition, VertexSet, bits_of, contracted_adjacency, edges_within, induced
 from .hall import PackFailure, pack_apex_multipartite
 from .solver import Copy, Packing, find_perfect_packing, packing_defect
 from .tidy import TidyResult, tidy
@@ -52,10 +58,7 @@ def default_ladder(r: int) -> TauLadder:
     for _ in range(r - 2):
         vals.append(vals[-1] ** 2)
     vals.reverse()
-    ladder = TauLadder(tuple(vals))
-    if ladder.values[-1] >= Fraction(1, r):
-        raise BadParameter("ladder top not below 1/r")
-    return ladder
+    return TauLadder(tuple(vals))
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,6 @@ class AuxiliaryGraph:
 class PipelineConfig:
     ladder: TauLadder | None = None
     budget_secs: float | None = 60.0
-    check_min_degree: bool = True
 
 
 @dataclass
@@ -153,7 +155,7 @@ def find_sparse_sets(g: Graph, r: int, ladder: TauLadder) -> tuple[int, list[Ver
     q = 0 means no sparse structure was found (the non-extremal regime).
     """
     n = g.n
-    size = math.ceil(Fraction((r - 1) * n, r * (r - 2)))
+    size = sparse_class_size(r, n)
     for q in range(r - 2, 0, -1):
         if q * size > n or size < 2:
             continue
@@ -214,7 +216,7 @@ def pack_remainder_class(
 
 
 def build_auxiliary(
-    g: Graph, sparse_classes: list[VertexSet], b1pack: Packing, r: int, q: int
+    g: Graph, sparse_classes: list[VertexSet], b1pack: Packing, r: int
 ) -> AuxiliaryGraph:
     """Auxiliary graph: sparse-class vertices plus one vertex per packed copy."""
     left_verts: list[int] = []
@@ -230,25 +232,10 @@ def build_auxiliary(
             raise InternalError(
                 f"auxiliary class size {end - start} != (r-1) * {len(b1pack.copies)}"
             )
-    adj = [0] * n_j
-    for a in range(n_left):
-        va = left_verts[a]
-        for b in range(a + 1, n_left):
-            if g.has_edge(va, left_verts[b]):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    for ci, cp in enumerate(b1pack.copies):
-        common = (1 << g.n) - 1
-        for v in cp.vertices:
-            common &= g.adj[v]
-        xj = n_left + ci
-        for a in range(n_left):
-            if (common >> left_verts[a]) & 1:
-                adj[a] |= 1 << xj
-                adj[xj] |= 1 << a
+    groups = [cp.vertices for cp in b1pack.copies]
+    j_graph = Graph(n_j, contracted_adjacency(g, left_verts, groups))
     back_map = [(v,) for v in left_verts]
-    back_map += [cp.vertices for cp in b1pack.copies]
-    j_graph = Graph(n_j, adj)
+    back_map += groups
     lefts = tuple(
         VertexSet.from_iterable(range(s, e), n_j) for s, e in class_ranges
     )
@@ -335,7 +322,7 @@ def threshold_table(r: int, n_max: int) -> dict[int, int]:
     """Degree threshold ceil((1 - 1/chi_cr) n) for each admissible order."""
     if r < 4:
         raise BadParameter(f"need r >= 4, got {r}")
-    coeff = 1 - Fraction(r - 1, r * (r - 2))
+    coeff = kr_minus_threshold(r)
     return {n: math.ceil(coeff * n) for n in range(r, n_max + 1, r)}
 
 
@@ -366,9 +353,8 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
     if g.n % r:
         stages.append({"stage": "divisibility", "result": f"r = {r} does not divide n = {g.n}"})
         return finish(False, None, "direct")
-    if cfg.check_min_degree and g.n > 0:
-        coeff = 1 - Fraction(r - 1, r * (r - 2))
-        need = math.ceil(coeff * g.n)
+    if g.n > 0:
+        need = math.ceil(kr_minus_threshold(r) * g.n)
         delta = min(g.degree(v) for v in range(g.n))
         if delta < need:
             stages.append(
@@ -401,7 +387,7 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
     stages.append({"stage": "remainder-pack", "copies": len(b1pack.copies)})
 
     sparse_star = [result.partition_star[i] for i in range(q)]
-    aux = build_auxiliary(g, sparse_star, b1pack, r, q)
+    aux = build_auxiliary(g, sparse_star, b1pack, r)
     jpack = pack_apex_multipartite(
         aux.j_graph,
         Partition(aux.left_classes + (aux.right_class,), aux.j_graph.n),

@@ -48,15 +48,6 @@ class Packing:
     copies: tuple[Copy, ...]
     host_n: int
 
-    def covered_mask(self) -> int:
-        m = 0
-        for c in self.copies:
-            m |= c.mask()
-        return m
-
-    def is_perfect(self) -> bool:
-        return self.covered_mask() == (1 << self.host_n) - 1
-
 
 @dataclass
 class SearchStats:
@@ -306,13 +297,13 @@ def max_packing_size(
     """Maximum number of disjoint copies of h in g (branch and bound).
 
     The bound at each node is packed + coverable // |H| where coverable
-    counts vertices still lying in some active copy.
+    counts vertices still lying in some active copy. A caller supplied
+    SearchStats is filled with node count and elapsed time.
     """
     if h.n == 0 or h.n > g.n:
         return 0
+    t0 = time.monotonic()
     copies = enumerate_copies(h, g)
-    if not copies:
-        return 0
     st = _CoverState(g.n, copies, budget_secs)
     if stats is not None:
         st.stats = stats
@@ -344,7 +335,11 @@ def max_packing_size(
         # pivot left uncovered
         search(packed, blocked | (1 << pivot), active & ~st.vertex_rows[pivot])
 
-    search(0, 0, st.all_rows)
+    try:
+        if copies:
+            search(0, 0, st.all_rows)
+    finally:
+        st.stats.elapsed = time.monotonic() - t0
     return best
 
 

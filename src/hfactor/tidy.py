@@ -16,18 +16,14 @@ over integers and Fractions, never through floats.
 
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .constructions import kr_minus, remainder_pattern_order
+from .constructions import kr_minus, kr_minus_threshold, remainder_pattern_order, sparse_class_size
 from .errors import BadParameter, Stuck
 from .graphs import Graph, Partition, VertexSet, bits_of, density_within, induced
 from .solver import Copy, Packing, packing_defect
-
-logger = logging.getLogger(__name__)
 
 _REALIZE_NODE_CAP = 20000
 
@@ -91,7 +87,7 @@ def adjust_for_divisibility(g: Graph, p: Partition, r: int) -> tuple[Partition, 
     q = len(p) - 1
     block = r * (r - 2)
     k = (n % block) // r
-    expected = math.ceil(Fraction((r - 1) * n, block))
+    expected = sparse_class_size(r, n)
     for i in range(q):
         if len(p[i]) != expected:
             raise BadParameter(
@@ -183,53 +179,6 @@ def swap_bad_exceptional(g: Graph, p: Partition, c: VertexClassification) -> Par
             swapped.add(x)
             swapped.add(y)
     return Partition(tuple(VertexSet(b, p.host_n) for b in classes), p.host_n)
-
-
-def extract_disjoint_cliques(g: Graph, a: VertexSet, s: int, count: int) -> list[VertexSet]:
-    """Greedily extract `count` disjoint s-cliques from G[A], max-degree pivots.
-
-    The degree regime that guarantees enough cliques is advisory: falling
-    below it logs a warning, and an actual shortfall raises Stuck.
-    """
-    if s < 1 or count < 0:
-        raise BadParameter(f"need s >= 1 and count >= 0, got s={s}, count={count}")
-    if s > 2 and len(a) > 0:
-        delta = min((g.adj[v] & a.bits).bit_count() for v in a)
-        if delta * (s - 1) < (s - 2) * len(a):  # below the 1 - 1/(s-1) fraction
-            logger.warning(
-                "clique extraction below the guaranteed degree regime: "
-                "min degree %d of %d vertices for %d-cliques",
-                delta,
-                len(a),
-                s,
-            )
-    remaining = a.bits
-    out: list[VertexSet] = []
-
-    def deg(v: int) -> int:
-        return (g.adj[v] & remaining).bit_count()
-
-    while len(out) < count:
-        pivots = sorted(bits_of(remaining), key=lambda v: (-deg(v), v))
-        clique: list[int] | None = None
-        for pivot in pivots:
-            cand = [pivot]
-            pool = g.adj[pivot] & remaining
-            while len(cand) < s and pool:
-                nxt = max(bits_of(pool), key=lambda v: ((g.adj[v] & pool).bit_count(), -v))
-                cand.append(nxt)
-                pool &= g.adj[nxt]
-            if len(cand) == s:
-                clique = cand
-                break
-        if clique is None:
-            raise Stuck("clique-extraction", f"found {len(out)} of {count} {s}-cliques")
-        mask = 0
-        for v in clique:
-            mask |= 1 << v
-        out.append(VertexSet(mask, g.n))
-        remaining &= ~mask
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +384,7 @@ def _realize_copy(
     return None
 
 
-def _copy_from_placement(
-    g: Graph, placement: list[tuple[int, int]], exempt_class: int | None
-) -> Copy:
+def _copy_from_placement(g: Graph, placement: list[tuple[int, int]]) -> Copy:
     """Assemble a clique-minus-an-edge copy; the nonadjacent (or designated)
     pair plays pattern slots 0 and 1."""
     verts = [v for v, _ in placement]
@@ -470,13 +417,26 @@ def _run_batch(
     take.append(big_dec + moves_applied.get(q, 0))
     if sum(take) != r * copies:
         raise Stuck(stage, f"take vector {take} does not sum to {r * copies}")
+    _remove_batch(state, stage, take, copies, anchor)
+
+
+def _remove_batch(
+    state: _TidyState,
+    stage: str,
+    take: list[int],
+    copies: int,
+    anchor: _Anchor | None,
+) -> None:
+    """Split the per-class take vector over `copies` copies (the first
+    anchored), realize each, remove them from their classes and trace."""
+    q = state.q
     anchor_counts = [0] * (q + 1)
     anchor_pair_class = None
     if anchor:
         for _v, c in anchor.pinned:
             anchor_counts[c] += 1
         anchor_pair_class = anchor.exempt_class
-    profiles = _distribute(take, copies, r, anchor_counts, anchor_pair_class)
+    profiles = _distribute(take, copies, state.r, anchor_counts, anchor_pair_class)
     if profiles is None:
         raise Stuck(stage, f"no feasible batch profile for take {take}")
     used = 0
@@ -486,8 +446,7 @@ def _run_batch(
         placement = _realize_copy(state, profile, a, used)
         if placement is None:
             raise Stuck(stage, f"could not realize copy {ci} with profile {profile}")
-        exempt = a.exempt_class if a else None
-        cp = _copy_from_placement(state.g, placement, exempt)
+        cp = _copy_from_placement(state.g, placement)
         batch.append(cp)
         for v, _c in placement:
             used |= 1 << v
@@ -548,7 +507,7 @@ def _check_hypotheses(g: Graph, sparse_sets: Sequence[VertexSet], r: int, tau: F
     if not 1 <= q <= r - 2:
         raise BadParameter(f"need 1 <= q <= r-2 sparse sets, got {q}")
     seen = 0
-    expected = math.ceil(Fraction((r - 1) * n, r * (r - 2)))
+    expected = sparse_class_size(r, n)
     for i, a in enumerate(sparse_sets):
         if a.host_n != n:
             raise BadParameter(f"sparse set {i} over a different host")
@@ -558,7 +517,7 @@ def _check_hypotheses(g: Graph, sparse_sets: Sequence[VertexSet], r: int, tau: F
             raise BadParameter("sparse sets overlap")
         seen |= a.bits
     soft: list[str] = []
-    threshold = (1 - Fraction(r - 1, r * (r - 2))) * n
+    threshold = kr_minus_threshold(r) * n
     delta = min(g.degree(v) for v in range(n))
     if delta < threshold:
         soft.append(f"min degree {delta} below threshold {threshold}")
@@ -592,8 +551,8 @@ def tidy(g: Graph, sparse_sets: Sequence[VertexSet], r: int, tau: Fraction) -> T
     if k:
         state.trace.append({"stage": "divisibility", "action": "offset", "k": k})
 
-    cls = classify(g, Partition(tuple(VertexSet(m, n) for m in state.masks), n), tau)
-    p2 = swap_bad_exceptional(g, Partition(tuple(VertexSet(m, n) for m in state.masks), n), cls)
+    cls = classify(g, p1, tau)
+    p2 = swap_bad_exceptional(g, p1, cls)
     swap_count = sum(1 for i in range(q + 1) if p2[i].bits != state.masks[i])
     state.masks = [c.bits for c in p2.classes]
     if swap_count:
@@ -787,31 +746,12 @@ def _final_rebalance(state: _TidyState, k: int) -> None:
     block = r * (r - 2)
     if n_final % block:
         raise Stuck("rebalance", f"target order {n_final} not divisible by {block}")
-    target_sparse = (r - 1) * n_final // block
+    target_sparse = sparse_class_size(r, n_final)
     take = [state.masks[c].bit_count() - target_sparse for c in range(q)]
     take.append(state.masks[q].bit_count() - (n_final - q * target_sparse))
     if any(t < 0 for t in take) or sum(take) != k * r:
         raise Stuck("rebalance", f"infeasible take vector {take}")
-    profiles = _distribute(take, k, r, [0] * (q + 1), None)
-    if profiles is None:
-        raise Stuck("rebalance", f"no profile split for take {take}")
-    used = 0
-    batch = []
-    for profile in profiles:
-        placement = _realize_copy(state, profile, None, used)
-        if placement is None:
-            raise Stuck("rebalance", f"could not realize profile {profile}")
-        cp = _copy_from_placement(state.g, placement, None)
-        batch.append(cp)
-        for v, _ in placement:
-            used |= 1 << v
-    for cp in batch:
-        for v in cp.vertices:
-            state.masks[state.class_of(v)] &= ~(1 << v)
-        state.removed.append(cp)
-    state.trace.append(
-        {"stage": "rebalance", "action": "remove-batch", "copies": [list(c.vertices) for c in batch]}
-    )
+    _remove_batch(state, "rebalance", take, k, None)
 
 
 def _verify_result(state: _TidyState, g: Graph, n: int, tau: Fraction) -> None:
@@ -836,14 +776,12 @@ def _verify_result(state: _TidyState, g: Graph, n: int, tau: Fraction) -> None:
         raise Stuck("verify", f"removed copy invalid: {defect}")
     if not le_power(n - n_star, tau, n, 3):
         raise Stuck("verify", f"removed {n - n_star} vertices, over the tau^(1/3) n bound")
-    target = (r - 1) * n_star // block
+    target = sparse_class_size(r, n_star)
     for c in range(q):
         if state.masks[c].bit_count() != target:
             raise Stuck(
                 "verify", f"class {c} size {state.masks[c].bit_count()} != canonical {target}"
             )
-    if (r - 1) * n_star % block:
-        raise Stuck("verify", "canonical size not integral")
     if state.masks[q].bit_count() % remainder_pattern_order(r, q):
         raise Stuck("verify", "remainder class size not divisible by the remainder pattern")
     sizes = [m.bit_count() for m in state.masks]
@@ -865,7 +803,6 @@ __all__ = [
     "VertexClassification",
     "adjust_for_divisibility",
     "classify",
-    "extract_disjoint_cliques",
     "ge_power",
     "le_power",
     "remove_proportional_batch",

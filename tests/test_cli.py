@@ -131,3 +131,26 @@ def test_cli_threshold_table(capsys):
     code, data = _run(capsys, ["threshold-table", "--r", "4", "--n-max", "16"])
     assert code == 0
     assert data["thresholds"] == {"4": 3, "8": 5, "12": 8, "16": 10}
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["pack", "--pattern", "{pattern}", "--host", "{bad}"], "4 1\n0 x\n"),
+        (["pack", "--pattern", "{pattern}", "--host", "{bad}", "--max"], "3 1\n0 5\n"),
+        (["invariants", "{bad}"], "2 1\n0 1\n7\n"),
+        (["invariants", "{bad}"], None),
+        (["hallpack", "--host", "{pattern}", "--classes", "{bad}", "--q", "1", "--r", "3"], "{"),
+    ],
+    ids=["non-integer", "out-of-range", "wrong-count", "missing-file", "bad-json"],
+)
+def test_cli_bad_input_is_a_one_line_error(capsys, tmp_path, pattern_file, argv, text):
+    bad = tmp_path / "bad.txt"
+    if text is not None:
+        bad.write_text(text)
+    argv = [a.format(pattern=pattern_file, bad=bad) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

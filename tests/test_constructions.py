@@ -17,6 +17,7 @@ from hfactor.constructions import (
     multipartite_extremal,
     remainder_pattern,
     remainder_pattern_order,
+    sparse_class_size,
 )
 from hfactor.errors import BadParameter
 from hfactor.graphs import complete_multipartite, min_degree
@@ -123,6 +124,7 @@ def test_canonical_spec_sizes():
     assert CanonicalSpec(5, 1, 15).class_sizes() == [4, 11]
     with pytest.raises(BadParameter):
         CanonicalSpec(4, 1, 12)  # not a multiple of r(r-2)
+    assert sparse_class_size(4, 12) == 5  # ceil(3 * 12 / 8)
     with pytest.raises(BadParameter):
         CanonicalSpec(4, 3, 8)  # q > r-2
 
@@ -170,6 +172,8 @@ def test_remainder_pattern_class_sizes(r):
         s = r - q - 1
         assert sizes == sorted([r - 2] + [r - 1] * (s - 1))
         assert sum(sizes) == (r - q - 1) * (r - 1) - 1
+        for n in (r * (r - 2), 3 * r * (r - 2)):
+            assert sparse_class_size(r, n) == CanonicalSpec(r, q, n).sparse_size
 
 
 def test_apex_multipartite_shapes():

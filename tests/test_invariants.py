@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfactor.constructions import kr_minus, remainder_pattern
+from hfactor.constructions import kr_minus, kr_minus_threshold, remainder_pattern
 from hfactor.errors import PatternTooLarge
 from hfactor.generators import random_graph
 from hfactor.graphs import Graph, complete_graph, complete_multipartite, empty_graph
 from hfactor.invariants import (
-    brute_force_profile,
     chromatic_number,
     colouring_profile,
     critical_chromatic_number,
@@ -21,6 +20,7 @@ from hfactor.invariants import (
     is_complete_multipartite,
     threshold_coefficient,
 )
+from hfactor.oracles import brute_force_profile
 
 
 def test_chromatic_number_basics():
@@ -56,6 +56,7 @@ def test_critical_chromatic_number_values():
 @pytest.mark.parametrize("r", range(4, 9))
 def test_critical_chromatic_closed_form(r):
     assert critical_chromatic_number(kr_minus(r)) == Fraction(r * (r - 2), r - 1)
+    assert kr_minus_threshold(r) == threshold_coefficient(kr_minus(r))
 
 
 def test_hcf_report_cases():

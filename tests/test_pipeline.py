@@ -101,7 +101,7 @@ def test_build_auxiliary_edge_semantics():
     g = canonical_graph(spec)
     part = canonical_partition(spec)
     b1pack = pack_remainder_class(g, part[1], 4, 1)
-    aux = build_auxiliary(g, [part[0]], b1pack, 4, 1)
+    aux = build_auxiliary(g, [part[0]], b1pack, 4)
     assert aux.j_graph.n == 6 + 2
     # complete host: every sparse vertex joined to every copy vertex
     for a in range(6):
@@ -110,7 +110,7 @@ def test_build_auxiliary_edge_semantics():
     # drop one host edge into the first copy: that auxiliary edge must vanish
     target = b1pack.copies[0].vertices[0]
     g2 = g.drop_edges([(0, target)])
-    aux2 = build_auxiliary(g2, [part[0]], b1pack, 4, 1)
+    aux2 = build_auxiliary(g2, [part[0]], b1pack, 4)
     first_copy_vertex = 6
     assert not aux2.j_graph.has_edge(0, first_copy_vertex)
     assert aux2.j_graph.has_edge(0, 7)
@@ -177,7 +177,7 @@ def test_auxiliary_misses_bounded_by_host_misses():
     g = g.drop_edges(drops)
     b1pack = pack_remainder_class(g, part[1], 4, 1)
     assert b1pack is not None
-    aux = build_auxiliary(g, [part[0]], b1pack, 4, 1)
+    aux = build_auxiliary(g, [part[0]], b1pack, 4)
     sparse = part[0].to_list()
     for a, v in enumerate(sparse):
         host_misses = sum(1 for w in part[1] if not g.has_edge(v, w))

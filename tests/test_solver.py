@@ -21,6 +21,7 @@ from hfactor.oracles import (
 from hfactor.solver import (
     Copy,
     Packing,
+    SearchStats,
     enumerate_copies,
     find_perfect_packing,
     max_packing_size,
@@ -74,6 +75,14 @@ def test_max_packing_basics():
     assert max_packing_size(kr_minus(4), empty_graph(8)) == 0
     g = kr_minus_extremal(4, 2)
     assert max_packing_size(kr_minus(4), g) == 1
+
+
+@pytest.mark.parametrize("entry", [find_perfect_packing, max_packing_size])
+def test_entry_points_fill_search_stats(entry):
+    stats = SearchStats()
+    entry(kr_minus(4), kr_minus_extremal(4, 3), None, stats)
+    assert stats.nodes > 0
+    assert stats.elapsed > 0
 
 
 def test_nondivisible_order_is_immediately_absent():

@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 
 from hfactor.constructions import CanonicalSpec, canonical_graph, canonical_partition, kr_minus
-from hfactor.errors import BadParameter, Stuck
+from hfactor.errors import BadParameter
 from hfactor.generators import noisy_canonical
-from hfactor.graphs import Graph, Partition, VertexSet, complete_graph, empty_graph
+from hfactor.graphs import Graph, Partition, VertexSet, complete_graph
 from hfactor.solver import Copy, Packing, verify_packing
 from hfactor.tidy import (
     adjust_for_divisibility,
     classify,
-    extract_disjoint_cliques,
     ge_power,
     le_power,
     remove_proportional_batch,
@@ -144,19 +143,6 @@ def test_remove_proportional_batch_with_anchor():
     from_sparse = sum(1 for c in batch for v in c.vertices if v < 6)
     assert from_sparse == 3
     assert verify_packing(kr_minus(4), g, Packing(tuple(batch), g.n))
-
-
-def test_extract_disjoint_cliques():
-    g = complete_graph(12)
-    cliques = extract_disjoint_cliques(g, g.vertex_set(), 3, 4)
-    assert len(cliques) == 4
-    seen = 0
-    for c in cliques:
-        assert len(c) == 3
-        assert not (c.bits & seen)
-        seen |= c.bits
-    with pytest.raises(Stuck):
-        extract_disjoint_cliques(empty_graph(6), VertexSet((1 << 6) - 1, 6), 2, 1)
 
 
 def test_tidy_clean_input_is_identity():
