@@ -71,6 +71,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         _emit(
             {
                 "max_packing_size": size,
+                "copies": stats.copies,
                 "nodes_explored": stats.nodes,
                 "elapsed": stats.elapsed,
             }
@@ -80,6 +81,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     result = {
         "decision": "exists" if packing is not None else "absent",
         "packing": [list(c.vertices) for c in packing.copies] if packing else None,
+        "copies": stats.copies,
         "nodes_explored": stats.nodes,
         "elapsed": stats.elapsed,
     }

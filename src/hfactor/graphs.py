@@ -86,15 +86,28 @@ class Graph:
         if len(adj) != n:
             raise ValueError("adjacency length mismatch")
         full = (1 << n) - 1
+        # every upper entry reciprocated and as many lower as upper entries
+        # imply symmetry; only a failure walks all entries, to name the pair
+        symmetric = True
+        upper = lower = 0
         for u, row in enumerate(adj):
             if row & ~full:
                 raise ValueError("adjacency bit outside vertex range")
             if (row >> u) & 1:
                 raise ValueError(f"loop at vertex {u}")
-        for u in range(n):
-            for v in bits_of(adj[u]):
-                if not (adj[v] >> u) & 1:
-                    raise ValueError(f"asymmetric edge {u}-{v}")
+            above = row >> (u + 1) << (u + 1)
+            upper += above.bit_count()
+            lower += (row ^ above).bit_count()
+            while above:
+                low = above & -above
+                above ^= low
+                if not (adj[low.bit_length() - 1] >> u) & 1:
+                    symmetric = False
+        if not symmetric or upper != lower:
+            for u in range(n):
+                for v in bits_of(adj[u]):
+                    if not (adj[v] >> u) & 1:
+                        raise ValueError(f"asymmetric edge {u}-{v}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
@@ -369,12 +382,15 @@ def write_class_labels(g: Graph, path: str | Path) -> None:
 
 
 def read_class_labels(path: str | Path, n: int) -> list[list[int]]:
+    """Classes of a sidecar ``{"classes": [[...], ...]}``; ValueError on a bad shape."""
     data = json.loads(Path(path).read_text())
-    classes = data["classes"]
+    classes = data.get("classes") if isinstance(data, dict) else None
+    if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
+        raise ValueError('class sidecar needs "classes": a list of lists of vertices')
     seen: set[int] = set()
     for c in classes:
         for v in c:
-            if not (0 <= v < n) or v in seen:
-                raise ValueError(f"bad class member {v}")
+            if type(v) is not int or not (0 <= v < n) or v in seen:
+                raise ValueError(f"bad class member {v!r}")
             seen.add(v)
     return [list(c) for c in classes]

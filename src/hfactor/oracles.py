@@ -15,15 +15,22 @@ from .graphs import Graph
 from .invariants import ColouringProfile
 
 
-def hosts_pattern(h: Graph, g: Graph, verts: tuple[int, ...]) -> bool:
-    """True iff the host set carries h under some vertex bijection (permutation scan)."""
-    if len(verts) != h.n:
-        return False
+def least_embedding(h: Graph, g: Graph, verts: tuple[int, ...]) -> tuple[int, ...] | None:
+    """First embedding of h onto verts in a permutation scan, or None.
+
+    ``permutations`` of a sorted tuple come in lexicographic order, so for
+    sorted verts the first valid one is the least.
+    """
     pattern_edges = [(u, v) for u in range(h.n) for v in range(u + 1, h.n) if (h.adj[u] >> v) & 1]
     for perm in permutations(verts):
         if all((g.adj[perm[u]] >> perm[v]) & 1 for u, v in pattern_edges):
-            return True
-    return False
+            return perm
+    return None
+
+
+def hosts_pattern(h: Graph, g: Graph, verts: tuple[int, ...]) -> bool:
+    """True iff the host set carries h under some vertex bijection (permutation scan)."""
+    return len(verts) == h.n and least_embedding(h, g, verts) is not None
 
 
 def brute_force_perfect_packing(h: Graph, g: Graph) -> bool:
@@ -64,6 +71,16 @@ def brute_force_max_packing(h: Graph, g: Graph) -> int:
         return best
 
     return extend(0, 0)
+
+
+def brute_force_copies(h: Graph, g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(vertex set, least embedding) per hosting set, sets in ``combinations`` order."""
+    out = []
+    for verts in combinations(range(g.n), h.n):
+        emb = least_embedding(h, g, verts)
+        if emb is not None:
+            out.append((verts, emb))
+    return out
 
 
 def brute_force_copy_sets(h: Graph, g: Graph) -> set[tuple[int, ...]]:

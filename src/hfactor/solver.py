@@ -2,25 +2,28 @@
 
 A packing instance is compiled to an exact-cover problem: one row per
 distinct vertex set of the host that carries a copy of the pattern, one
-column per host vertex. The search always branches on the uncovered
-vertex lying in the fewest remaining copies, removes conflicting copies,
-and backtracks; covered-vertex sets proven unwinnable are memoized, so a
-negative answer is an exhaustive proof. Timeouts are a first-class
-outcome and never conflated with a proven negative.
+column per host vertex. The rows come from a depth-first search over
+ascending vertex sets that drops a set as soon as it misses more host
+edges than the pattern leaves out, so its cost follows the number of
+near-copies, not the number of subsets. The search always branches on
+the uncovered vertex lying in the fewest remaining copies, removes
+conflicting copies, and backtracks; covered-vertex sets proven
+unwinnable are memoized, so a negative answer is an exhaustive proof.
+Timeouts, which count enumeration time, are a first-class outcome and
+never conflated with a proven negative.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import Timeout
 from .graphs import Graph, bits_of
 
 DEFAULT_BUDGET_SECS = 60.0
 
-_TIME_CHECK_MASK = 0x3FF  # consult the clock every 1024 nodes
+_TIME_CHECK_MASK = 0x3FF  # consult the clock every 1024 nodes or enumeration frames
 
 
 @dataclass(frozen=True)
@@ -53,135 +56,158 @@ class Packing:
 class SearchStats:
     nodes: int = 0
     elapsed: float = 0.0
+    copies: int = 0
 
 
-def _lex_least_embedding(h: Graph, g: Graph, verts: tuple[int, ...]) -> tuple[int, ...] | None:
+def _lex_least_embedding(
+    h: Graph, g: Graph, verts: tuple[int, ...], mask: int
+) -> tuple[int, ...] | None:
     """First (hence lexicographically least) embedding of h onto exactly verts.
 
-    Host edges beyond the pattern's are allowed; every pattern edge must
-    map to a host edge.
+    ``mask`` is the bitmask of verts. Host edges beyond the pattern's are
+    allowed; every pattern edge must map to a host edge. Pattern vertex p
+    tries, in ascending order, the unused members of verts that are joined
+    to the hosts of p's earlier neighbours and have at least p's degree
+    inside verts; the degree test only skips members that cannot host p.
     """
     k = h.n
-    assignment = [-1] * k
+    inside = [(v, (g.adj[v] & mask).bit_count()) for v in verts]
+    fits = []
+    earlier = []
+    for p in range(k):
+        need = h.adj[p].bit_count()
+        fits.append(sum(1 << v for v, d in inside if d >= need))
+        earlier.append(list(bits_of(h.adj[p] & ((1 << p) - 1))))
+    hosts = [0] * k
+    cands = [0] * k
+    cands[0] = fits[0]
     used = 0
-
-    def place(p: int) -> bool:
-        nonlocal used
-        if p == k:
-            return True
-        earlier = h.adj[p] & ((1 << p) - 1)
-        for v in verts:
-            bit = 1 << v
-            if used & bit:
-                continue
-            ok = True
-            for q in bits_of(earlier):
-                if not (g.adj[assignment[q]] >> v) & 1:
-                    ok = False
-                    break
-            if ok:
-                assignment[p] = v
-                used |= bit
-                if place(p + 1):
-                    return True
-                used &= ~bit
-                assignment[p] = -1
-        return False
-
-    if place(0):
-        return tuple(assignment)
+    p = 0
+    while p >= 0:
+        c = cands[p]
+        if not c:
+            p -= 1
+            if p >= 0:
+                used ^= 1 << hosts[p]
+            continue
+        low = c & -c
+        cands[p] = c ^ low
+        hosts[p] = low.bit_length() - 1
+        if p + 1 == k:
+            return tuple(hosts)
+        used |= low
+        p += 1
+        c = fits[p] & ~used
+        for q in earlier[p]:
+            c &= g.adj[hosts[q]]
+        cands[p] = c
     return None
 
 
-def enumerate_copies(h: Graph, g: Graph) -> list[Copy]:
-    """All copies of h in g, one per hosting vertex set.
+def enumerate_copies(h: Graph, g: Graph, deadline: float | None = None) -> list[Copy]:
+    """All copies of h in g, one per hosting vertex set, sets in lex order.
 
-    The stored embedding is the lexicographically least one for its set.
-    Patterns that are a clique minus at most one edge take a fast path
-    that filters candidate sets by induced edge count alone.
+    A k-set hosts h only if it misses at most ``slack = C(k, 2) - e(h)``
+    host edges, and none of its subsets misses more. One depth-first
+    search therefore grows ascending vertex sets, drops a set once it
+    misses more than ``slack`` edges, and extends a set that misses
+    exactly ``slack`` by common neighbours only. The stored embedding is
+    the lexicographically least one for its set: for a clique or a clique
+    minus one edge it follows from the set's missing pair; other patterns
+    pass a degree-sequence filter and then a backtracking search. Raises
+    Timeout once ``time.monotonic()`` passes ``deadline``.
     """
-    if h.n > g.n:
+    n, k = g.n, h.n
+    if k > n:
         return []
-    k = h.n
-    h_edges = h.edge_count()
-    max_edges = k * (k - 1) // 2
-    dense_pattern = h_edges >= max_edges - 1  # complete or one edge short
-    h_degs = sorted((h.degree(v) for v in range(h.n)), reverse=True)
+    if k == 0:
+        return [Copy((), ())]
+    adj = g.adj
+    slack = k * (k - 1) // 2 - h.edge_count()
+    dense = slack <= 1
+    if dense:
+        # a set missing no edge hosts h as itself; one missing pair (a, b)
+        # takes the pattern's missing pair (p, q), the rest go in ascending
+        pat_pair = next(
+            ((p, q) for p in range(k) for q in range(p + 1, k) if not (h.adj[p] >> q) & 1),
+            None,
+        )
+        if pat_pair is not None:
+            p, q = pat_pair
+            others = [i for i in range(k) if i != p and i != q]
+    else:
+        h_degs = sorted((h.degree(v) for v in range(k)), reverse=True)
     out: list[Copy] = []
-    for verts in combinations(range(g.n), k):
-        mask = 0
-        for v in verts:
-            mask |= 1 << v
-        within = [(g.adj[v] & mask).bit_count() for v in verts]
-        if sum(within) // 2 < h_edges:
-            continue
-        if dense_pattern:
-            emb = _dense_embedding(h, g, verts, mask)
-        else:
-            if sorted(within, reverse=True) < h_degs:
-                emb = None
+    full = (1 << n) - 1
+    # frame: vertices, their mask, common neighbourhood, missing edges, first missing pair
+    stack = [((), 0, full, 0, None)]
+    popped = 0
+    while stack:
+        verts, mask, common, missing, pair = stack.pop()
+        popped += 1
+        if deadline is not None and not (popped & _TIME_CHECK_MASK) and time.monotonic() > deadline:
+            raise Timeout(f"budget exhausted enumerating copies, {len(out)} found so far")
+        depth = len(verts) + 1  # size of the sets this frame's children form
+        above = verts[-1] + 1 if verts else 0
+        room = (1 << (n - k + depth)) - 1  # leaves k - depth vertices above the last
+        cands = (common if missing == slack else full) & room & ~((1 << above) - 1)
+        children = []
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            gaps = mask & ~adj[v]
+            now_missing = missing + gaps.bit_count()
+            if now_missing > slack:
+                continue
+            vs = verts + (v,)
+            if pair is None and gaps:
+                pair_v = ((gaps & -gaps).bit_length() - 1, v)
             else:
-                emb = _lex_least_embedding(h, g, verts)
-        if emb is not None:
-            out.append(Copy(verts, emb))
+                pair_v = pair
+            if depth < k:
+                children.append((vs, mask | low, common & adj[v], now_missing, pair_v))
+            elif dense:
+                if pair_v is None:
+                    out.append(Copy(vs, vs))
+                else:
+                    a, b = pair_v
+                    emb = [0] * k
+                    emb[p], emb[q] = a, b
+                    for i, x in zip(others, [x for x in vs if x != a and x != b]):
+                        emb[i] = x
+                    out.append(Copy(vs, tuple(emb)))
+            else:
+                vs_mask = mask | low
+                within = sorted(((adj[x] & vs_mask).bit_count() for x in vs), reverse=True)
+                if within < h_degs:
+                    continue
+                emb = _lex_least_embedding(h, g, vs, vs_mask)
+                if emb is not None:
+                    out.append(Copy(vs, emb))
+        stack.extend(reversed(children))
     return out
 
 
-def _dense_embedding(h: Graph, g: Graph, verts: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
-    """Embedding for clique / clique-minus-an-edge patterns.
-
-    The candidate set already has enough edges; a valid embedding exists
-    iff the set misses at most one edge and, when both pattern and set
-    miss one, the missing pairs align.
-    """
-    k = h.n
-    missing_host: list[tuple[int, int]] = []
-    for i, v in enumerate(verts):
-        for w in verts[i + 1 :]:
-            if not (g.adj[v] >> w) & 1:
-                missing_host.append((v, w))
-                if len(missing_host) > 1:
-                    return None
-    missing_pat: tuple[int, int] | None = None
-    for p in range(k):
-        for q in range(p + 1, k):
-            if not (h.adj[p] >> q) & 1:
-                missing_pat = (p, q)
-    if not missing_host:
-        return tuple(verts)  # complete set hosts anything this dense
-    if missing_pat is None:
-        return None  # complete pattern cannot absorb a missing host edge
-    a, b = missing_host[0]
-    p, q = missing_pat
-    emb = [-1] * k
-    emb[p], emb[q] = (a, b) if p < q else (b, a)
-    rest = [v for v in verts if v != a and v != b]
-    it = iter(rest)
-    for i in range(k):
-        if emb[i] == -1:
-            emb[i] = next(it)
-    # lex-least among the two pair orientations
-    alt = emb.copy()
-    alt[p], alt[q] = emb[q], emb[p]
-    return tuple(min(emb, alt))
-
-
 class _CoverState:
-    """Shared search state: copy masks, per-vertex copy bitmaps, clock."""
+    """Shared search state: the copies, their masks, per-vertex copy bitmaps, clock."""
 
-    def __init__(self, g_n: int, copies: list[Copy], budget_secs: float | None):
-        self.n = g_n
+    def __init__(self, h: Graph, g: Graph, deadline: float | None, stats: SearchStats):
+        copies = enumerate_copies(h, g, deadline)
+        stats.copies = len(copies)
         self.copies = copies
         self.masks = [c.mask() for c in copies]
-        self.vertex_rows = [0] * g_n
-        for idx, m in enumerate(self.masks):
-            bit = 1 << idx
-            for v in bits_of(m):
-                self.vertex_rows[v] |= bit
-        self.full_cover = (1 << g_n) - 1
+        # bit idx of vertex_rows[v] is set iff copy idx covers v
+        rows = [bytearray((len(copies) + 7) >> 3) for _ in range(g.n)]
+        for idx, c in enumerate(copies):
+            byte, bit = idx >> 3, 1 << (idx & 7)
+            for v in c.vertices:
+                rows[v][byte] |= bit
+        self.vertex_rows = [int.from_bytes(row, "little") for row in rows]
+        self.full_cover = (1 << g.n) - 1
         self.all_rows = (1 << len(copies)) - 1
-        self.deadline = None if budget_secs is None else time.monotonic() + budget_secs
-        self.stats = SearchStats()
+        self.deadline = deadline
+        self.stats = stats
 
     def tick(self) -> None:
         self.stats.nodes += 1
@@ -265,27 +291,27 @@ def find_perfect_packing(
 ) -> Packing | None:
     """A perfect packing of g by copies of h, or None after exhaustive search.
 
-    Raises Timeout when the budget runs out before the search finishes;
-    a None return is always a completed proof of nonexistence. A caller
-    supplied SearchStats is filled with node count and elapsed time.
+    Raises Timeout when the budget, which covers copy enumeration as well
+    as the search, runs out before the search finishes; a None return is
+    always a completed proof of nonexistence. A caller supplied
+    SearchStats is filled with copy count, node count and elapsed time.
     """
     if h.n == 0:
         return None
     if g.n % h.n:
         return None
     # an empty host falls through to the empty perfect packing
+    stats = SearchStats() if stats is None else stats
     t0 = time.monotonic()
-    copies = enumerate_copies(h, g)
-    st = _CoverState(g.n, copies, budget_secs)
-    if stats is not None:
-        st.stats = stats
+    deadline = None if budget_secs is None else t0 + budget_secs
     try:
+        st = _CoverState(h, g, deadline, stats)
         chosen = _cover_search(st, 0, st.all_rows, set())
     finally:
-        st.stats.elapsed = time.monotonic() - t0
+        stats.elapsed = time.monotonic() - t0
     if chosen is None:
         return None
-    return Packing(tuple(copies[i] for i in sorted(chosen)), g.n)
+    return Packing(tuple(st.copies[i] for i in sorted(chosen)), g.n)
 
 
 def max_packing_size(
@@ -297,16 +323,15 @@ def max_packing_size(
     """Maximum number of disjoint copies of h in g (branch and bound).
 
     The bound at each node is packed + coverable // |H| where coverable
-    counts vertices still lying in some active copy. A caller supplied
-    SearchStats is filled with node count and elapsed time.
+    counts vertices still lying in some active copy. The budget covers
+    copy enumeration as well as the search. A caller supplied SearchStats
+    is filled with copy count, node count and elapsed time.
     """
     if h.n == 0 or h.n > g.n:
         return 0
+    stats = SearchStats() if stats is None else stats
     t0 = time.monotonic()
-    copies = enumerate_copies(h, g)
-    st = _CoverState(g.n, copies, budget_secs)
-    if stats is not None:
-        st.stats = stats
+    deadline = None if budget_secs is None else t0 + budget_secs
     best = 0
 
     def search(packed: int, blocked: int, active: int) -> None:
@@ -336,10 +361,11 @@ def max_packing_size(
         search(packed, blocked | (1 << pivot), active & ~st.vertex_rows[pivot])
 
     try:
-        if copies:
+        st = _CoverState(h, g, deadline, stats)
+        if st.copies:
             search(0, 0, st.all_rows)
     finally:
-        st.stats.elapsed = time.monotonic() - t0
+        stats.elapsed = time.monotonic() - t0
     return best
 
 

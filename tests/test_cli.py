@@ -55,12 +55,14 @@ def test_cli_pack_decision(capsys, pattern_file, host_file):
     assert code == 0
     assert data["decision"] == "exists"
     assert len(data["packing"]) == 2
+    assert data["copies"] == 45
 
 
 def test_cli_pack_max(capsys, pattern_file, host_file):
     code, data = _run(capsys, ["pack", "--pattern", pattern_file, "--host", host_file, "--max"])
     assert code == 0
     assert data["max_packing_size"] == 2
+    assert data["copies"] == 45
 
 
 def test_cli_construct_writes_files(capsys, tmp_path):
@@ -141,8 +143,38 @@ def test_cli_threshold_table(capsys):
         (["invariants", "{bad}"], "2 1\n0 1\n7\n"),
         (["invariants", "{bad}"], None),
         (["hallpack", "--host", "{pattern}", "--classes", "{bad}", "--q", "1", "--r", "3"], "{"),
+        (["hallpack", "--host", "{pattern}", "--classes", "{bad}", "--q", "1", "--r", "3"], "{}"),
+        (
+            ["hallpack", "--host", "{pattern}", "--classes", "{bad}", "--q", "1", "--r", "3"],
+            '{"classes": [["a"]]}',
+        ),
+        (
+            ["hallpack", "--host", "{pattern}", "--classes", "{bad}", "--q", "1", "--r", "3"],
+            '{"classes": [0, 1]}',
+        ),
+        (["tidy", "--host", "{pattern}", "--sparse", "{bad}", "--r", "3", "--tau", "1/9"], "[]"),
+        (
+            ["tidy", "--host", "{pattern}", "--sparse", "{bad}", "--r", "3", "--tau", "1/9"],
+            '{"classes": [[0.5]]}',
+        ),
+        (
+            ["tidy", "--host", "{pattern}", "--sparse", "{bad}", "--r", "3", "--tau", "1/9"],
+            '{"classes": "01"}',
+        ),
     ],
-    ids=["non-integer", "out-of-range", "wrong-count", "missing-file", "bad-json"],
+    ids=[
+        "non-integer",
+        "out-of-range",
+        "wrong-count",
+        "missing-file",
+        "bad-json",
+        "classes-missing",
+        "classes-non-integer",
+        "classes-not-lists",
+        "sparse-not-an-object",
+        "sparse-non-integer",
+        "sparse-not-a-list",
+    ],
 )
 def test_cli_bad_input_is_a_one_line_error(capsys, tmp_path, pattern_file, argv, text):
     bad = tmp_path / "bad.txt"

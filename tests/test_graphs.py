@@ -30,6 +30,8 @@ def test_graph_rejects_loops_and_asymmetry():
         Graph(2, [0b01, 0b00])  # loop at 0
     with pytest.raises(ValueError):
         Graph(2, [0b10, 0b00])  # 0->1 without 1->0
+    with pytest.raises(ValueError, match="asymmetric edge 1-0"):
+        Graph(2, [0b00, 0b01])  # 1->0 without 0->1: a lower entry only
 
 
 def test_graph_is_immutable():

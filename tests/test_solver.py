@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from hfactor.errors import Timeout
 from hfactor.generators import random_graph
 from hfactor.graphs import Graph, complete_graph, complete_multipartite, empty_graph
 from hfactor.oracles import (
+    brute_force_copies,
     brute_force_copy_sets,
     brute_force_max_packing,
     brute_force_perfect_packing,
@@ -79,10 +82,24 @@ def test_max_packing_basics():
 
 @pytest.mark.parametrize("entry", [find_perfect_packing, max_packing_size])
 def test_entry_points_fill_search_stats(entry):
+    h, g = kr_minus(4), kr_minus_extremal(4, 3)
     stats = SearchStats()
-    entry(kr_minus(4), kr_minus_extremal(4, 3), None, stats)
+    entry(h, g, None, stats)
     assert stats.nodes > 0
     assert stats.elapsed > 0
+    assert stats.copies == len(enumerate_copies(h, g)) > 0
+
+
+@pytest.mark.parametrize("entry", [find_perfect_packing, max_packing_size])
+def test_budget_covers_copy_enumeration(entry):
+    # 5 divides n, and full enumeration takes seconds (over 100k copies of K5-)
+    g = random_graph(35, 0.8, 5)
+    stats = SearchStats()
+    t0 = time.monotonic()
+    with pytest.raises(Timeout):
+        entry(kr_minus(5), g, 0.0, stats)
+    assert time.monotonic() - t0 < 1.0
+    assert stats.nodes == 0  # the clock ran out before the search began
 
 
 def test_nondivisible_order_is_immediately_absent():
@@ -154,6 +171,28 @@ def test_found_packings_always_verify():
         p = find_perfect_packing(h, g, budget_secs=60)
         if p is not None:
             assert verify_packing(h, g, p, require_perfect=True)
+
+
+ORACLE_PATTERNS = {
+    "K1": complete_graph(1),
+    "E2": empty_graph(2),
+    "K3": complete_graph(3),
+    "K4": complete_graph(4),
+    "K3-": kr_minus(3),
+    "K4-": kr_minus(4),
+    "K5-": kr_minus(5),
+    "K122": complete_multipartite([1, 2, 2]),
+    "P4": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),  # slack 3
+}
+
+
+@given(st.sampled_from(sorted(ORACLE_PATTERNS)), st.integers(0, 9), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_enumeration_matches_naive_oracle(name, n, seed):
+    h = ORACLE_PATTERNS[name]
+    g = random_graph(n, (1 + seed % 9) / 10, seed)  # n < h.n included
+    got = [(c.vertices, c.embedding) for c in enumerate_copies(h, g)]
+    assert got == brute_force_copies(h, g)
 
 
 def test_stored_embeddings_are_lexicographically_least():
