@@ -268,7 +268,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Timeout as exc:
-        _emit({"decision": "timeout", "detail": str(exc)})
+        payload = {"decision": "timeout", "detail": str(exc)}
+        if exc.stages is not None:
+            payload["stage_trace"] = exc.stages
+        _emit(payload)
         return 2
     except (HFactorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,7 +32,12 @@ class BadParameter(HFactorError):
 
 
 class Timeout(HFactorError):
-    """Search exceeded its time budget. Distinct from a proven negative."""
+    """Search exceeded its time budget. Distinct from a proven negative.
+
+    ``stages`` is the stage trace when run_pipeline raised it, else None.
+    """
+
+    stages: list[dict] | None = None
 
 
 class Stuck(HFactorError):

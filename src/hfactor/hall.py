@@ -66,8 +66,9 @@ def star_pack(g: Graph, big: VertexSet, small: VertexSet, r: int) -> StarPacking
     """Perfect star packing with centres in `small` and r leaves each in `big`.
 
     Runs a maximum matching on the r-fold blow-up of the centres via
-    augmenting paths; when no perfect matching exists the returned
-    witness is a centre set S with |N(S) & big| < r |S|.
+    augmenting paths, searched on an explicit stack; when no perfect
+    matching exists the returned witness is a centre set S with
+    |N(S) & big| < r |S|.
     """
     centers = small.to_list()
     leaves = big.to_list()
@@ -81,20 +82,41 @@ def star_pack(g: Graph, big: VertexSet, small: VertexSet, r: int) -> StarPacking
     match_of_slot: list[int | None] = [None] * n_slots
     match_of_leaf: list[int | None] = [None] * len(leaves)
 
-    def augment(slot: int, visited: list[bool]) -> bool:
-        for v in bits_of(slot_adj[slot]):
-            li = leaf_index[v]
-            if visited[li]:
+    def augment(root: int) -> bool:
+        """Depth-first augmenting path from root on an explicit stack.
+
+        Each slot on the path tries its unvisited leaves in ascending
+        order; a leaf is visited at most once per root.
+        """
+        visited = 0
+        path = [root]  # slots on the current alternating path
+        untried = [slot_adj[root]]  # their leaves not yet tried
+        taken: list[int] = []  # leaf index each slot but the last is trying
+        while path:
+            cands = untried[-1] & ~visited
+            if not cands:
+                path.pop()
+                untried.pop()
+                if taken:
+                    taken.pop()
                 continue
-            visited[li] = True
-            if match_of_leaf[li] is None or augment(match_of_leaf[li], visited):
-                match_of_leaf[li] = slot
-                match_of_slot[slot] = li
+            low = cands & -cands
+            visited |= low
+            untried[-1] = cands ^ low
+            li = leaf_index[low.bit_length() - 1]
+            taken.append(li)
+            owner = match_of_leaf[li]
+            if owner is None:
+                for slot, leaf in zip(path, taken):
+                    match_of_leaf[leaf] = slot
+                    match_of_slot[slot] = leaf
                 return True
+            path.append(owner)
+            untried.append(slot_adj[owner])
         return False
 
     for slot in range(n_slots):
-        if not augment(slot, [False] * len(leaves)):
+        if not augment(slot):
             return _hall_witness(
                 slot, slot_center, slot_adj, leaf_index, leaves, match_of_slot, match_of_leaf, r
             )

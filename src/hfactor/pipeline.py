@@ -331,7 +331,8 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
 
     Follows the sparse-set route when the host is extremal-like, else
     (or on any intermediate dead end) the direct exact solver. The
-    returned packing, when present, always verifies.
+    returned packing, when present, always verifies. A Timeout from the
+    direct solver carries the stage trace so far as ``stages``.
     """
     cfg = config or PipelineConfig()
     t0 = time.monotonic()
@@ -346,7 +347,12 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
         return PipelineResult(decision, packing, path, stages, time.monotonic() - t0)
 
     def direct(path: str) -> PipelineResult:
-        packing = find_perfect_packing(pattern, g, cfg.budget_secs)
+        try:
+            packing = find_perfect_packing(pattern, g, cfg.budget_secs)
+        except Timeout as exc:
+            stages.append({"stage": "solver", "result": "timeout"})
+            exc.stages = stages
+            raise
         stages.append({"stage": "solver", "result": "exists" if packing else "absent"})
         return finish(packing is not None, packing, path)
 

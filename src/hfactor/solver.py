@@ -5,12 +5,18 @@ distinct vertex set of the host that carries a copy of the pattern, one
 column per host vertex. The rows come from a depth-first search over
 ascending vertex sets that drops a set as soon as it misses more host
 edges than the pattern leaves out, so its cost follows the number of
-near-copies, not the number of subsets. The search always branches on
-the uncovered vertex lying in the fewest remaining copies, removes
-conflicting copies, and backtracks; covered-vertex sets proven
-unwinnable are memoized, so a negative answer is an exhaustive proof.
-Timeouts, which count enumeration time, are a first-class outcome and
-never conflated with a proven negative.
+near-copies, not the number of subsets.
+
+One branch and bound on an explicit stack answers both questions. It
+looks for a packing with more copies than a floor: n/|H| - 1 for a
+perfect packing, 0 for a maximum one. It branches on the free vertex
+lying in the fewest remaining copies (Knuth's Algorithm X order), once
+per copy and then once leaving the vertex uncovered, and cuts a node
+when the copies it can still add cannot beat the best so far. A
+``proved`` memo keyed by the blocked vertex set keeps those bounds, so a
+negative answer is an exhaustive proof. Timeouts, which count
+enumeration time, are a first-class outcome and never conflated with a
+proven negative.
 """
 
 from __future__ import annotations
@@ -189,42 +195,7 @@ def enumerate_copies(h: Graph, g: Graph, deadline: float | None = None) -> list[
     return out
 
 
-class _CoverState:
-    """Shared search state: the copies, their masks, per-vertex copy bitmaps, clock."""
-
-    def __init__(self, h: Graph, g: Graph, deadline: float | None, stats: SearchStats):
-        copies = enumerate_copies(h, g, deadline)
-        stats.copies = len(copies)
-        self.copies = copies
-        self.masks = [c.mask() for c in copies]
-        # bit idx of vertex_rows[v] is set iff copy idx covers v
-        rows = [bytearray((len(copies) + 7) >> 3) for _ in range(g.n)]
-        for idx, c in enumerate(copies):
-            byte, bit = idx >> 3, 1 << (idx & 7)
-            for v in c.vertices:
-                rows[v][byte] |= bit
-        self.vertex_rows = [int.from_bytes(row, "little") for row in rows]
-        self.full_cover = (1 << g.n) - 1
-        self.all_rows = (1 << len(copies)) - 1
-        self.deadline = deadline
-        self.stats = stats
-
-    def tick(self) -> None:
-        self.stats.nodes += 1
-        if self.deadline is not None and (
-            self.stats.nodes == 1 or not (self.stats.nodes & _TIME_CHECK_MASK)
-        ):
-            if time.monotonic() > self.deadline:
-                raise Timeout(f"search budget exhausted after {self.stats.nodes} nodes")
-
-    def conflict_rows(self, copy_idx: int) -> int:
-        rows = 0
-        for v in bits_of(self.masks[copy_idx]):
-            rows |= self.vertex_rows[v]
-        return rows
-
-
-def _hitting_bound(st: _CoverState, uncovered: int, active: int) -> int:
+def _hitting_bound(vertex_rows: list[int], uncovered: int, active: int) -> int:
     """Size of a greedy transversal of the active copies.
 
     Disjoint copies consume distinct transversal vertices, so no packing
@@ -235,52 +206,99 @@ def _hitting_bound(st: _CoverState, uncovered: int, active: int) -> int:
         best_v = -1
         best_cnt = 0
         for v in bits_of(uncovered):
-            cnt = (st.vertex_rows[v] & active).bit_count()
+            cnt = (vertex_rows[v] & active).bit_count()
             if cnt > best_cnt:
                 best_v, best_cnt = v, cnt
         if best_v == -1:
             break
-        active &= ~st.vertex_rows[best_v]
+        active &= ~vertex_rows[best_v]
         uncovered &= ~(1 << best_v)
         size += 1
     return size
 
 
-def _cover_search(st: _CoverState, covered: int, active: int, failed: set[int]) -> list[int] | None:
-    st.tick()
-    if covered == st.full_cover:
-        return []
-    if covered in failed:
-        return None
-    # MRV: the uncovered vertex in the fewest remaining copies
-    best_v = -1
-    best_cnt = -1
-    uncovered = st.full_cover & ~covered
-    for v in bits_of(uncovered):
-        cnt = (st.vertex_rows[v] & active).bit_count()
-        if cnt == 0:
-            failed.add(covered)
-            return None
-        if best_cnt == -1 or cnt < best_cnt:
-            best_v, best_cnt = v, cnt
-            if cnt == 1:
+def _branch_and_bound(
+    h: Graph, g: Graph, deadline: float | None, stats: SearchStats, floor: int
+) -> list[Copy] | None:
+    """The largest packing with more than ``floor`` copies, or None if none has.
+
+    A node is ``blocked``, the vertices covered or given up; its active
+    copies are those avoiding ``blocked``. It branches on the coverable
+    vertex in the fewest active copies: once per copy through it, in index
+    order, then once leaving it uncovered when that can still beat the
+    best. ``proved[blocked]`` bounds the copies any completion can add.
+    The search stops at the first packing that covers every vertex.
+    """
+    copies = enumerate_copies(h, g, deadline)
+    stats.copies = len(copies)
+    k, n = h.n, g.n
+    full = (1 << n) - 1
+    masks = [c.mask() for c in copies]
+    # bit idx of vertex_rows[v] is set iff copy idx covers v
+    rows = [bytearray((len(copies) + 7) >> 3) for _ in range(n)]
+    for idx, c in enumerate(copies):
+        byte, bit = idx >> 3, 1 << (idx & 7)
+        for v in c.vertices:
+            rows[v][byte] |= bit
+    vertex_rows = [int.from_bytes(row, "little") for row in rows]
+    del rows
+    best, best_chain = floor, None
+    proved: dict[int, int] = {}
+    # frame: packed, blocked, active, chain of chosen copies, then copy rows
+    # still to try (a branching node), 0 (a finished node) or None (a new node)
+    stack: list[tuple] = [(0, 0, (1 << len(copies)) - 1, (), None)]
+    while stack:
+        packed, blocked, active, chain, todo = stack.pop()
+        if todo:
+            low = todo & -todo
+            if todo != low:
+                stack.append((packed, blocked, active, chain, todo ^ low))
+            idx = low.bit_length() - 1
+            conflict = 0
+            for v in copies[idx].vertices:
+                conflict |= vertex_rows[v]
+            stack.append((packed + 1, blocked | masks[idx], active & ~conflict, (idx, chain), None))
+            continue
+        if todo == 0:
+            proved[blocked] = best - packed
+            continue
+        stats.nodes += 1
+        if deadline is not None and (stats.nodes == 1 or not (stats.nodes & _TIME_CHECK_MASK)):
+            if time.monotonic() > deadline:
+                raise Timeout(f"search budget exhausted after {stats.nodes} nodes")
+        if packed > best:
+            best, best_chain = packed, chain
+            if packed * k == n:
                 break
-    k = len(st.copies[0].vertices) if st.copies else 1
-    needed = uncovered.bit_count() // k
-    if needed > 1 and _hitting_bound(st, uncovered, active) < needed:
-        failed.add(covered)
+        bound = proved.get(blocked)
+        if bound is not None and packed + bound <= best:
+            continue
+        coverable = 0
+        pivot, pivot_cnt = -1, 0
+        for v in bits_of(full & ~blocked):
+            cnt = (vertex_rows[v] & active).bit_count()
+            if cnt:
+                coverable |= 1 << v
+                if pivot_cnt == 0 or cnt < pivot_cnt:
+                    pivot, pivot_cnt = v, cnt
+        n_coverable = coverable.bit_count()
+        room = n_coverable // k
+        if best < packed + room and packed < best:
+            room = min(room, _hitting_bound(vertex_rows, coverable, active))
+        if packed + room <= best:
+            proved[blocked] = room
+            continue
+        stack.append((packed, blocked, active, chain, 0))
+        if packed + (n_coverable - 1) // k > best:
+            stack.append((packed, blocked | 1 << pivot, active & ~vertex_rows[pivot], chain, None))
+        stack.append((packed, blocked, active, chain, vertex_rows[pivot] & active))
+    if best_chain is None:
         return None
-    for idx in bits_of(st.vertex_rows[best_v] & active):
-        sub = _cover_search(
-            st,
-            covered | st.masks[idx],
-            active & ~st.conflict_rows(idx),
-            failed,
-        )
-        if sub is not None:
-            return [idx] + sub
-    failed.add(covered)
-    return None
+    chosen = []
+    while best_chain:
+        idx, best_chain = best_chain
+        chosen.append(idx)
+    return [copies[i] for i in sorted(chosen)]
 
 
 def find_perfect_packing(
@@ -296,22 +314,17 @@ def find_perfect_packing(
     always a completed proof of nonexistence. A caller supplied
     SearchStats is filled with copy count, node count and elapsed time.
     """
-    if h.n == 0:
-        return None
-    if g.n % h.n:
+    if h.n == 0 or g.n % h.n:
         return None
     # an empty host falls through to the empty perfect packing
     stats = SearchStats() if stats is None else stats
     t0 = time.monotonic()
     deadline = None if budget_secs is None else t0 + budget_secs
     try:
-        st = _CoverState(h, g, deadline, stats)
-        chosen = _cover_search(st, 0, st.all_rows, set())
+        chosen = _branch_and_bound(h, g, deadline, stats, g.n // h.n - 1)
     finally:
         stats.elapsed = time.monotonic() - t0
-    if chosen is None:
-        return None
-    return Packing(tuple(st.copies[i] for i in sorted(chosen)), g.n)
+    return None if chosen is None else Packing(tuple(chosen), g.n)
 
 
 def max_packing_size(
@@ -323,50 +336,21 @@ def max_packing_size(
     """Maximum number of disjoint copies of h in g (branch and bound).
 
     The bound at each node is packed + coverable // |H| where coverable
-    counts vertices still lying in some active copy. The budget covers
-    copy enumeration as well as the search. A caller supplied SearchStats
-    is filled with copy count, node count and elapsed time.
+    counts vertices still lying in some active copy, tightened by a
+    greedy transversal. The budget covers copy enumeration as well as the
+    search. A caller supplied SearchStats is filled with copy count, node
+    count and elapsed time.
     """
     if h.n == 0 or h.n > g.n:
         return 0
     stats = SearchStats() if stats is None else stats
     t0 = time.monotonic()
     deadline = None if budget_secs is None else t0 + budget_secs
-    best = 0
-
-    def search(packed: int, blocked: int, active: int) -> None:
-        nonlocal best
-        st.tick()
-        counts: dict[int, int] = {}
-        coverable_mask = 0
-        for v in bits_of(st.full_cover & ~blocked):
-            cnt = (st.vertex_rows[v] & active).bit_count()
-            if cnt:
-                counts[v] = cnt
-                coverable_mask |= 1 << v
-        if packed > best:
-            best = packed
-        if not counts:
-            return
-        room = min(
-            len(counts) // h.n,
-            _hitting_bound(st, coverable_mask, active),
-        )
-        if packed + room <= best:
-            return
-        pivot = min(counts, key=lambda v: (counts[v], v))
-        for idx in bits_of(st.vertex_rows[pivot] & active):
-            search(packed + 1, blocked | st.masks[idx], active & ~st.conflict_rows(idx))
-        # pivot left uncovered
-        search(packed, blocked | (1 << pivot), active & ~st.vertex_rows[pivot])
-
     try:
-        st = _CoverState(h, g, deadline, stats)
-        if st.copies:
-            search(0, 0, st.all_rows)
+        chosen = _branch_and_bound(h, g, deadline, stats, 0)
     finally:
         stats.elapsed = time.monotonic() - t0
-    return best
+    return 0 if chosen is None else len(chosen)
 
 
 def packing_defect(h: Graph, g: Graph, p: Packing, require_perfect: bool = False) -> str | None:

@@ -668,9 +668,9 @@ def _handle_exceptional_last_class(state: _TidyState, cls: VertexClassification)
     matchings: dict[int, list[tuple[int, int]]] = {}
     reserved = 0
     for i, xs in sorted(per_target.items()):
-        edges = _internal_matching(state, i, len(xs), cls)
-        if len(edges) < len(xs):
-            raise Stuck("matching", f"class {i}: need {len(xs)} edges, found {len(edges)}")
+        edges = _internal_matching(state, i, len(xs))
+        if edges is None:
+            raise Stuck("matching", f"class {i}: fewer than {len(xs)} disjoint edges")
         matchings[i] = edges
         for u, v in edges:
             reserved |= (1 << u) | (1 << v)
@@ -691,26 +691,34 @@ def _handle_exceptional_last_class(state: _TidyState, cls: VertexClassification)
     return handled
 
 
-def _internal_matching(
-    state: _TidyState, i: int, need: int, cls: VertexClassification
-) -> list[tuple[int, int]]:
-    """Greedy matching inside sparse class i over non-useless vertices."""
+def _internal_matching(state: _TidyState, i: int, need: int) -> list[tuple[int, int]] | None:
+    """First ``need`` disjoint edges inside sparse class i over non-useless vertices.
+
+    Searches the class's edges in ascending (u, v) order, depth first on
+    an explicit stack, so the first branch is the greedy matching. None
+    when no ``need`` disjoint edges exist.
+    """
     g = state.g
     mask = state.masks[i] & ~state.avoid
-    matched = 0
-    edges: list[tuple[int, int]] = []
-    for u in bits_of(mask):
-        if (matched >> u) & 1:
+    edges = [(u, v) for u in bits_of(mask) for v in bits_of(g.adj[u] & mask & ~((2 << u) - 1))]
+    # reach[j]: the vertices that edges j.. touch
+    reach = [0] * (len(edges) + 1)
+    for j in range(len(edges) - 1, -1, -1):
+        u, v = edges[j]
+        reach[j] = reach[j + 1] | (1 << u) | (1 << v)
+    stack: list[tuple[int, int, tuple]] = [(0, 0, ())]  # next edge, matched, chosen edges
+    while stack:
+        j, matched, chosen = stack.pop()
+        while j < len(edges) and (matched >> edges[j][0] | matched >> edges[j][1]) & 1:
+            j += 1
+        if (reach[j] & ~matched).bit_count() // 2 < need - len(chosen):
             continue
-        nbrs = g.adj[u] & mask & ~matched
-        nbrs &= ~((1 << (u + 1)) - 1)  # partners above u only
-        for v in bits_of(nbrs):
-            edges.append((u, v))
-            matched |= (1 << u) | (1 << v)
-            break
-        if len(edges) == need:
-            break
-    return edges
+        u, v = edges[j]
+        if len(chosen) + 1 == need:
+            return [*chosen, (u, v)]
+        stack.append((j + 1, matched, chosen))
+        stack.append((j + 1, matched | (1 << u) | (1 << v), chosen + ((u, v),)))
+    return None
 
 
 def _handle_useless(state: _TidyState, cls: VertexClassification, x: int) -> None:

@@ -95,6 +95,19 @@ def test_cli_construct_canonical_and_pipeline(capsys, tmp_path):
     assert trace.exists()
 
 
+def test_cli_pipeline_timeout_prints_the_stage_trace(capsys, tmp_path):
+    from hfactor.generators import random_graph
+
+    host = tmp_path / "g.txt"
+    write_edge_list(random_graph(24, 0.5, 99), host)
+    code, data = _run(
+        capsys, ["pipeline", "--host", str(host), "--r", "4", "--budget-secs", "0"]
+    )
+    assert code == 2
+    assert data["decision"] == "timeout"
+    assert data["stage_trace"][-1] == {"stage": "solver", "result": "timeout"}
+
+
 def test_cli_hallpack(capsys, tmp_path):
     from hfactor.graphs import complete_multipartite
 

@@ -62,6 +62,19 @@ def test_star_pack_absent_with_hall_witness():
     assert 6 in res.centers
 
 
+def test_star_pack_follows_an_augmenting_path_longer_than_the_recursion_limit():
+    # centre i reaches leaves m+i and m+i+1, the last centre only leaf m: the
+    # last centre's augmenting path shifts every other centre by one leaf
+    m = 1200
+    edges = [(i, m + i) for i in range(m - 1)] + [(i, m + i + 1) for i in range(m - 1)]
+    g = Graph.from_edges(2 * m, edges + [(m - 1, m)])
+    leaves = VertexSet.from_iterable(range(m, 2 * m), g.n)
+    centres = VertexSet.from_iterable(range(m), g.n)
+    sp = star_pack(g, leaves, centres, 1)
+    assert isinstance(sp, StarPacking)
+    assert sp.stars == tuple((i, (m + i + 1,)) for i in range(m - 1)) + ((m - 1, (m,)),)
+
+
 def test_star_pack_size_mismatch():
     g = complete_multipartite([7, 2])
     big, small = _sides(g, 7)

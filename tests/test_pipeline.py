@@ -13,7 +13,7 @@ from hfactor.constructions import (
     kr_minus_extremal,
     remainder_pattern,
 )
-from hfactor.errors import BadParameter
+from hfactor.errors import BadParameter, Timeout
 from hfactor.generators import planted_sparse_graph, random_graph
 from hfactor.graphs import VertexSet, complete_graph
 from hfactor.pipeline import (
@@ -143,6 +143,15 @@ def test_pipeline_blocker_reaches_absent():
 def test_pipeline_nondivisible_order():
     res = run_pipeline(complete_graph(10), 4)
     assert not res.decision and res.path == "direct"
+
+
+def test_pipeline_timeout_keeps_the_stage_trace():
+    g = random_graph(24, 0.5, 99)
+    with pytest.raises(Timeout) as info:
+        run_pipeline(g, 4, PipelineConfig(budget_secs=0.0))
+    stages = info.value.stages
+    assert [s["stage"] for s in stages] == ["degree-check", "sparse-sets", "solver"]
+    assert stages[-1] == {"stage": "solver", "result": "timeout"}
 
 
 def test_pipeline_agrees_with_solver_on_mixed_corpus():

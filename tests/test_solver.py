@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -102,6 +103,18 @@ def test_budget_covers_copy_enumeration(entry):
     assert stats.nodes == 0  # the clock ran out before the search began
 
 
+@pytest.mark.parametrize("entry", [find_perfect_packing, max_packing_size])
+def test_entry_points_leave_no_cyclic_garbage(entry):
+    h, g = kr_minus(4), kr_minus_extremal(4, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        entry(h, g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_nondivisible_order_is_immediately_absent():
     assert find_perfect_packing(complete_graph(3), complete_graph(7)) is None
 
@@ -193,6 +206,15 @@ def test_enumeration_matches_naive_oracle(name, n, seed):
     g = random_graph(n, (1 + seed % 9) / 10, seed)  # n < h.n included
     got = [(c.vertices, c.embedding) for c in enumerate_copies(h, g)]
     assert got == brute_force_copies(h, g)
+
+
+@given(st.sampled_from(sorted(ORACLE_PATTERNS)), st.integers(0, 12), st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_maximum_reaches_n_over_h_iff_a_perfect_packing_exists(name, n, seed):
+    h = ORACLE_PATTERNS[name]
+    g = random_graph(n, (1 + seed % 9) / 10, seed)
+    perfect = find_perfect_packing(h, g, budget_secs=60)
+    assert (max_packing_size(h, g, budget_secs=60) * h.n == g.n) == (perfect is not None)
 
 
 def test_stored_embeddings_are_lexicographically_least():

@@ -197,6 +197,17 @@ def test_tidy_case_two_matching_path():
     assert res.n_star == 88
 
 
+def test_tidy_finds_an_in_class_matching_that_greedy_misses():
+    # both planted exceptional vertices target class 0, whose usable edges
+    # include (2, 8), (2, 10) and (8, 9): the first edge blocks a second one
+    spec = CanonicalSpec(4, 2, 96)
+    g, part = noisy_canonical(spec, 1841905643, planted_exceptional=2)
+    res = tidy(g, [part[0], part[1]], 4, TAU)
+    assert res.n_star == 80
+    assert len(res.removed) == 4
+    assert verify_packing(kr_minus(4), g, Packing(tuple(res.removed), g.n))
+
+
 def test_tidy_rejects_structural_violations():
     g, p = _canonical_instance(4, 1, 16)
     with pytest.raises(BadParameter):
