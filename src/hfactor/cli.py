@@ -73,6 +73,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
                 "max_packing_size": size,
                 "copies": stats.copies,
                 "nodes_explored": stats.nodes,
+                "cuts": stats.cuts,
                 "elapsed": stats.elapsed,
             }
         )
@@ -83,6 +84,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         "packing": [list(c.vertices) for c in packing.copies] if packing else None,
         "copies": stats.copies,
         "nodes_explored": stats.nodes,
+        "cuts": stats.cuts,
         "elapsed": stats.elapsed,
     }
     if packing is not None and not verify_packing(h, g, packing, require_perfect=True):

@@ -13,8 +13,11 @@ perfect packing, 0 for a maximum one. It branches on the free vertex
 lying in the fewest remaining copies (Knuth's Algorithm X order), once
 per copy and then once leaving the vertex uncovered, and cuts a node
 when the copies it can still add cannot beat the best so far. A
-``proved`` memo keyed by the blocked vertex set keeps those bounds, so a
-negative answer is an exhaustive proof. Timeouts, which count
+``proved`` memo keyed by the blocked vertex set keeps those bounds. A
+branching node whose best has grown since it was bounded is bounded
+again, and drops all its untried children at once if it can no longer
+beat the best. A cut only drops subtrees that cannot beat the best, so
+a negative answer is an exhaustive proof. Timeouts, which count
 enumeration time, are a first-class outcome and never conflated with a
 proven negative.
 """
@@ -63,6 +66,7 @@ class SearchStats:
     nodes: int = 0
     elapsed: float = 0.0
     copies: int = 0
+    cuts: int = 0  # nodes and branching frames dropped by the bound
 
 
 def _lex_least_embedding(
@@ -227,6 +231,9 @@ def _branch_and_bound(
     vertex in the fewest active copies: once per copy through it, in index
     order, then once leaving it uncovered when that can still beat the
     best. ``proved[blocked]`` bounds the copies any completion can add.
+    A branching frame keeps its coverable vertices and the best it was
+    last bounded against; popped after the best has grown, it is bounded
+    again and drops its untried copies if they cannot beat it.
     The search stops at the first packing that covers every vertex.
     """
     copies = enumerate_copies(h, g, deadline)
@@ -244,20 +251,32 @@ def _branch_and_bound(
     del rows
     best, best_chain = floor, None
     proved: dict[int, int] = {}
-    # frame: packed, blocked, active, chain of chosen copies, then copy rows
-    # still to try (a branching node), 0 (a finished node) or None (a new node)
-    stack: list[tuple] = [(0, 0, (1 << len(copies)) - 1, (), None)]
+    # frame: packed, blocked, active, chain of chosen copies, then the copy
+    # rows still to try (a branching node), 0 (a finished node) or None (a new
+    # node), then a branching node's coverable vertices and the best it was
+    # last bounded against
+    stack: list[tuple] = [(0, 0, (1 << len(copies)) - 1, (), None, 0, 0)]
     while stack:
-        packed, blocked, active, chain, todo = stack.pop()
+        packed, blocked, active, chain, todo, coverable, seen = stack.pop()
         if todo:
+            if best > seen:
+                room = min(
+                    coverable.bit_count() // k, _hitting_bound(vertex_rows, coverable, active)
+                )
+                if packed + room <= best:
+                    stats.cuts += 1
+                    continue
+                seen = best
             low = todo & -todo
             if todo != low:
-                stack.append((packed, blocked, active, chain, todo ^ low))
+                stack.append((packed, blocked, active, chain, todo ^ low, coverable, seen))
             idx = low.bit_length() - 1
             conflict = 0
             for v in copies[idx].vertices:
                 conflict |= vertex_rows[v]
-            stack.append((packed + 1, blocked | masks[idx], active & ~conflict, (idx, chain), None))
+            stack.append(
+                (packed + 1, blocked | masks[idx], active & ~conflict, (idx, chain), None, 0, 0)
+            )
             continue
         if todo == 0:
             proved[blocked] = best - packed
@@ -272,6 +291,7 @@ def _branch_and_bound(
                 break
         bound = proved.get(blocked)
         if bound is not None and packed + bound <= best:
+            stats.cuts += 1
             continue
         coverable = 0
         pivot, pivot_cnt = -1, 0
@@ -287,11 +307,14 @@ def _branch_and_bound(
             room = min(room, _hitting_bound(vertex_rows, coverable, active))
         if packed + room <= best:
             proved[blocked] = room
+            stats.cuts += 1
             continue
-        stack.append((packed, blocked, active, chain, 0))
+        stack.append((packed, blocked, active, chain, 0, 0, 0))
         if packed + (n_coverable - 1) // k > best:
-            stack.append((packed, blocked | 1 << pivot, active & ~vertex_rows[pivot], chain, None))
-        stack.append((packed, blocked, active, chain, vertex_rows[pivot] & active))
+            stack.append(
+                (packed, blocked | 1 << pivot, active & ~vertex_rows[pivot], chain, None, 0, 0)
+            )
+        stack.append((packed, blocked, active, chain, vertex_rows[pivot] & active, coverable, best))
     if best_chain is None:
         return None
     chosen = []
@@ -312,7 +335,7 @@ def find_perfect_packing(
     Raises Timeout when the budget, which covers copy enumeration as well
     as the search, runs out before the search finishes; a None return is
     always a completed proof of nonexistence. A caller supplied
-    SearchStats is filled with copy count, node count and elapsed time.
+    SearchStats is filled with copy, node and cut counts and elapsed time.
     """
     if h.n == 0 or g.n % h.n:
         return None
@@ -338,8 +361,8 @@ def max_packing_size(
     The bound at each node is packed + coverable // |H| where coverable
     counts vertices still lying in some active copy, tightened by a
     greedy transversal. The budget covers copy enumeration as well as the
-    search. A caller supplied SearchStats is filled with copy count, node
-    count and elapsed time.
+    search. A caller supplied SearchStats is filled with copy, node and
+    cut counts and elapsed time.
     """
     if h.n == 0 or h.n > g.n:
         return 0

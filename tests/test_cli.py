@@ -56,6 +56,7 @@ def test_cli_pack_decision(capsys, pattern_file, host_file):
     assert data["decision"] == "exists"
     assert len(data["packing"]) == 2
     assert data["copies"] == 45
+    assert data["cuts"] >= 0
 
 
 def test_cli_pack_max(capsys, pattern_file, host_file):
@@ -63,6 +64,7 @@ def test_cli_pack_max(capsys, pattern_file, host_file):
     assert code == 0
     assert data["max_packing_size"] == 2
     assert data["copies"] == 45
+    assert data["cuts"] >= 0
 
 
 def test_cli_construct_writes_files(capsys, tmp_path):

@@ -15,7 +15,13 @@ from hfactor.constructions import (
 )
 from hfactor.errors import Timeout
 from hfactor.generators import random_graph
-from hfactor.graphs import Graph, complete_graph, complete_multipartite, empty_graph
+from hfactor.graphs import (
+    Graph,
+    complete_graph,
+    complete_multipartite,
+    disjoint_union,
+    empty_graph,
+)
 from hfactor.oracles import (
     brute_force_copies,
     brute_force_copy_sets,
@@ -72,6 +78,39 @@ def test_multipartite_blocker_has_no_perfect_packing():
     g = multipartite_extremal(h, 1)
     assert g.n == 14
     assert find_perfect_packing(h, g, budget_secs=120) is None
+
+
+@pytest.mark.parametrize("r,k", [(4, 6), (5, 5), (4, 8)])
+def test_blocker_absence_is_cut_at_the_root(r, k):
+    # every copy meets the class of size k - 1, which the greedy transversal finds
+    stats = SearchStats()
+    assert find_perfect_packing(kr_minus(r), kr_minus_extremal(r, k), None, stats) is None
+    assert (stats.nodes, stats.cuts) == (1, 1)
+
+
+def test_perfect_search_memoises_failed_blocked_sets():
+    # two odd cliques: no perfect matching, and no bound cuts before one
+    # vertex of K13 is left, so only the memo keeps the search off the full tree
+    g = disjoint_union([complete_graph(13), complete_graph(15)])
+    stats = SearchStats()
+    assert find_perfect_packing(complete_graph(2), g, None, stats) is None
+    assert stats.nodes <= 2000
+
+
+def test_max_packing_drops_siblings_once_the_best_is_reached():
+    g = kr_minus_extremal(4, 8)
+    perm = [(7 * v + 3) % g.n for v in range(g.n)]
+    relabelled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    stats = SearchStats()
+    assert max_packing_size(kr_minus(4), relabelled, None, stats) == 7
+    assert stats.nodes <= 100
+
+
+def test_max_packing_rebounds_each_time_the_best_improves():
+    g = disjoint_union([kr_minus_extremal(4, 5), kr_minus_extremal(4, 6)])
+    stats = SearchStats()
+    assert max_packing_size(kr_minus(4), g, None, stats) == 9
+    assert stats.nodes <= 1000
 
 
 def test_max_packing_basics():
@@ -159,6 +198,10 @@ def test_max_packing_agrees_with_brute_force(seed):
     g = random_graph(4 + seed % 5, 0.5, seed)
     h = kr_minus(3)
     assert max_packing_size(h, g) == brute_force_max_packing(h, g)
+    # larger patterns on up to 10 vertices, where the best can improve twice
+    g = random_graph(4 + seed % 7, (3 + seed % 7) / 10, seed)
+    for h in (kr_minus(4), complete_multipartite([1, 2, 2])):
+        assert max_packing_size(h, g) == brute_force_max_packing(h, g)
 
 
 @given(st.integers(0, 10**6))
