@@ -32,7 +32,7 @@ from .invariants import (
     hcf_report,
     threshold_coefficient,
 )
-from .solver import SearchStats, find_perfect_packing, max_packing_size, verify_packing
+from .solver import DEFAULT_BUDGET_SECS, SearchStats, find_perfect_packing, max_packing_size, verify_packing
 from .tidy import tidy
 
 
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True)
     p.add_argument("--max", action="store_true", help="report the maximum packing size")
-    p.add_argument("--budget-secs", type=float, default=60.0)
+    p.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
     p.set_defaults(func=_cmd_pack)
 
     p = sub.add_parser("construct", help="build a named graph")
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--ladder", help="JSON list of tolerance fractions")
-    p.add_argument("--budget-secs", type=float, default=60.0)
+    p.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
     p.add_argument("--trace", help="write the stage trace to this JSON file")
     p.set_defaults(func=_cmd_pipeline)
 

@@ -41,7 +41,9 @@ class Timeout(HFactorError):
 
 
 class Stuck(HFactorError):
-    """A greedy sub-step could not complete; carries the failing stage."""
+    """A cleanup step could not complete; carries the failing stage.
+
+    Copy realization and matching are exhaustive: their Stuck proves none fits."""
 
     def __init__(self, stage: str, detail: str = ""):
         self.stage = stage

@@ -29,7 +29,7 @@ from .constructions import (
 from .errors import BadParameter, InternalError, Stuck, Timeout
 from .graphs import Graph, Partition, VertexSet, bits_of, contracted_adjacency, edges_within, induced
 from .hall import PackFailure, pack_apex_multipartite
-from .solver import Copy, Packing, find_perfect_packing, packing_defect
+from .solver import DEFAULT_BUDGET_SECS, Copy, Packing, find_perfect_packing, packing_defect
 from .tidy import TidyResult, tidy
 
 
@@ -79,7 +79,7 @@ class AuxiliaryGraph:
 @dataclass
 class PipelineConfig:
     ladder: TauLadder | None = None
-    budget_secs: float | None = 60.0
+    budget_secs: float | None = DEFAULT_BUDGET_SECS  # for the whole run
 
 
 @dataclass
@@ -182,7 +182,7 @@ def pack_remainder_class(
     remainder: VertexSet,
     r: int,
     q: int,
-    budget_secs: float | None = 60.0,
+    budget_secs: float | None = DEFAULT_BUDGET_SECS,
 ) -> Packing | None:
     """Perfect remainder-pattern packing of G[remainder], host-indexed.
 
@@ -331,13 +331,18 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
 
     Follows the sparse-set route when the host is extremal-like, else
     (or on any intermediate dead end) the direct exact solver. The
-    returned packing, when present, always verifies. A Timeout from the
-    direct solver carries the stage trace so far as ``stages``.
+    returned packing, when present, always verifies. The budget covers
+    the whole run: each solver call gets the time left of it. A Timeout
+    from the direct solver carries the stage trace so far as ``stages``.
     """
     cfg = config or PipelineConfig()
     t0 = time.monotonic()
+    deadline = None if cfg.budget_secs is None else t0 + cfg.budget_secs
     stages: list[dict] = []
     pattern = kr_minus(r)
+
+    def budget_left() -> float | None:
+        return None if deadline is None else max(0.0, deadline - time.monotonic())
 
     def finish(decision: bool, packing: Packing | None, path: str) -> PipelineResult:
         if packing is not None:
@@ -348,7 +353,7 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
 
     def direct(path: str) -> PipelineResult:
         try:
-            packing = find_perfect_packing(pattern, g, cfg.budget_secs)
+            packing = find_perfect_packing(pattern, g, budget_left())
         except Timeout as exc:
             stages.append({"stage": "solver", "result": "timeout"})
             exc.stages = stages
@@ -383,7 +388,7 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
 
     remainder = result.partition_star[q]
     try:
-        b1pack = pack_remainder_class(g, remainder, r, q, cfg.budget_secs)
+        b1pack = pack_remainder_class(g, remainder, r, q, budget_left())
     except Timeout:
         stages.append({"stage": "remainder-pack", "result": "timeout"})
         return direct("fallback")

@@ -5,7 +5,9 @@ distinct vertex set of the host that carries a copy of the pattern, one
 column per host vertex. The rows come from a depth-first search over
 ascending vertex sets that drops a set as soon as it misses more host
 edges than the pattern leaves out, so its cost follows the number of
-near-copies, not the number of subsets.
+near-copies, not the number of subsets. For patterns other than a clique
+minus at most one edge, a set goes to an embedding search that draws each
+pattern vertex from its own candidate mask; tidy places its copies with it.
 
 One branch and bound on an explicit stack answers both questions. It
 looks for a packing with more copies than a floor: n/|H| - 1 for a
@@ -69,48 +71,41 @@ class SearchStats:
     cuts: int = 0  # nodes and branching frames dropped by the bound
 
 
-def _lex_least_embedding(
-    h: Graph, g: Graph, verts: tuple[int, ...], mask: int
-) -> tuple[int, ...] | None:
-    """First (hence lexicographically least) embedding of h onto exactly verts.
+def _lex_least_embedding(h: Graph, g: Graph, cands: list[int]) -> tuple[int, ...] | None:
+    """First (hence lexicographically least) embedding of h into g.
 
-    ``mask`` is the bitmask of verts. Host edges beyond the pattern's are
-    allowed; every pattern edge must map to a host edge. Pattern vertex p
-    tries, in ascending order, the unused members of verts that are joined
-    to the hosts of p's earlier neighbours and have at least p's degree
-    inside verts; the degree test only skips members that cannot host p.
+    Pattern vertex p draws its host, in ascending order, from the bitmask
+    ``cands[p]``, among the vertices not yet used that are joined to the
+    hosts of p's earlier neighbours. Host edges beyond the pattern's are
+    allowed; every pattern edge must map to a host edge. The search is a
+    backtrack on an explicit stack and exhausts every choice, so None is
+    a proof that no embedding draws from the masks.
     """
     k = h.n
-    inside = [(v, (g.adj[v] & mask).bit_count()) for v in verts]
-    fits = []
-    earlier = []
-    for p in range(k):
-        need = h.adj[p].bit_count()
-        fits.append(sum(1 << v for v, d in inside if d >= need))
-        earlier.append(list(bits_of(h.adj[p] & ((1 << p) - 1))))
+    earlier = [list(bits_of(h.adj[p] & ((1 << p) - 1))) for p in range(k)]
     hosts = [0] * k
-    cands = [0] * k
-    cands[0] = fits[0]
+    left = [0] * k
+    left[0] = cands[0]
     used = 0
     p = 0
     while p >= 0:
-        c = cands[p]
+        c = left[p]
         if not c:
             p -= 1
             if p >= 0:
                 used ^= 1 << hosts[p]
             continue
         low = c & -c
-        cands[p] = c ^ low
+        left[p] = c ^ low
         hosts[p] = low.bit_length() - 1
         if p + 1 == k:
             return tuple(hosts)
         used |= low
         p += 1
-        c = fits[p] & ~used
+        c = cands[p] & ~used
         for q in earlier[p]:
             c &= g.adj[hosts[q]]
-        cands[p] = c
+        left[p] = c
     return None
 
 
@@ -146,7 +141,8 @@ def enumerate_copies(h: Graph, g: Graph, deadline: float | None = None) -> list[
             p, q = pat_pair
             others = [i for i in range(k) if i != p and i != q]
     else:
-        h_degs = sorted((h.degree(v) for v in range(k)), reverse=True)
+        needs = [h.degree(p) for p in range(k)]
+        h_degs = sorted(needs, reverse=True)
     out: list[Copy] = []
     full = (1 << n) - 1
     # frame: vertices, their mask, common neighbourhood, missing edges, first missing pair
@@ -188,11 +184,13 @@ def enumerate_copies(h: Graph, g: Graph, deadline: float | None = None) -> list[
                         emb[i] = x
                     out.append(Copy(vs, tuple(emb)))
             else:
+                # pattern vertex p may only go to members of at least its degree inside vs
                 vs_mask = mask | low
-                within = sorted(((adj[x] & vs_mask).bit_count() for x in vs), reverse=True)
-                if within < h_degs:
+                inside = [(x, (adj[x] & vs_mask).bit_count()) for x in vs]
+                if sorted((d for _, d in inside), reverse=True) < h_degs:
                     continue
-                emb = _lex_least_embedding(h, g, vs, vs_mask)
+                fits = [sum(1 << x for x, d in inside if d >= need) for need in needs]
+                emb = _lex_least_embedding(h, g, fits)
                 if emb is not None:
                     out.append(Copy(vs, emb))
         stack.extend(reversed(children))

@@ -7,7 +7,8 @@ in some other class; exceptional: almost none), repairs what it can by
 swaps, and removes the rest inside small batches of clique-minus-an-edge
 copies chosen so that every class shrinks by exactly its canonical share.
 The result is a core graph whose classes are perfectly proportioned and
-whose every vertex sees almost all of every other class.
+whose every vertex sees almost all of every other class. Copies are placed
+by the solver's exhaustive embedding search, one candidate mask per slot.
 
 All threshold comparisons against fractional powers of tau are exact:
 ``count >= tau^(1/3) * size`` is evaluated as ``count^3 >= tau * size^3``
@@ -22,10 +23,8 @@ from typing import Sequence
 
 from .constructions import kr_minus, kr_minus_threshold, remainder_pattern_order, sparse_class_size
 from .errors import BadParameter, Stuck
-from .graphs import Graph, Partition, VertexSet, bits_of, density_within, induced
-from .solver import Copy, Packing, packing_defect
-
-_REALIZE_NODE_CAP = 20000
+from .graphs import Graph, Partition, VertexSet, bits_of, complete_graph, density_within, induced
+from .solver import Copy, Packing, _lex_least_embedding, packing_defect
 
 
 def ge_power(count: int, tau: Fraction, size: int, root: int) -> bool:
@@ -204,9 +203,6 @@ class _TidyState:
         self.trace: list[dict] = []
         self.avoid = 0  # useless / reserved vertices, excluded from greedy picks
 
-    def sizes(self) -> list[int]:
-        return [m.bit_count() for m in self.masks]
-
     def class_of(self, v: int) -> int:
         for i, m in enumerate(self.masks):
             if (m >> v) & 1:
@@ -308,97 +304,43 @@ def _realize_copy(
     profile: list[int],
     anchor: _Anchor | None,
     used: int,
-) -> list[tuple[int, int]] | None:
-    """Build one copy matching the class profile: DFS over slots, candidates
-    ascending; at most the designated pair may be nonadjacent."""
-    g = state.g
-    q = state.q
-    pinned = list(anchor.pinned) if anchor else []
+) -> Copy | None:
+    """First copy with the class profile that keeps the anchor's pins and
+    avoids ``used``, or None when none exists. Slots 0 and 1, the one pair
+    that may be nonadjacent, hold the exempt class's pins and then its free
+    slots; the other pins follow, then the free slots class by class."""
+    g, q = state.g, state.q
+    pinned = anchor.pinned if anchor else []
     exempt_class = anchor.exempt_class if anchor else None
     if exempt_class is None:
-        doubled = [c for c in range(q) if profile[c] >= 2]
-        if doubled:
-            exempt_class = doubled[0]
-    slots: list[int] = []
-    remaining = profile.copy()
+        exempt_class = next((c for c in range(q) if profile[c] >= 2), None)
+    free = profile.copy()
+    taken = used
     for v, c in pinned:
-        remaining[c] -= 1
-        if remaining[c] < 0:
-            return None
+        free[c] -= 1
+        taken |= 1 << v
+    if min(free) < 0:
+        return None
+    open_masks = [m & ~state.avoid & ~taken for m in state.masks]
+    pair = [v for v, c in pinned if c == exempt_class][:2]
+    slots = [1 << v for v in pair]
     if exempt_class is not None:
-        slots.extend([exempt_class] * min(2 - sum(1 for _, c in pinned if c == exempt_class), remaining[exempt_class]))
-        remaining[exempt_class] -= len([s for s in slots if s == exempt_class])
+        extra = min(2 - len(pair), free[exempt_class])
+        slots += [open_masks[exempt_class]] * extra
+        free[exempt_class] -= extra
+    paired = len(slots) == 2
+    slots += [1 << v for v, _c in pinned if v not in pair]
     for c in range(q + 1):
-        slots.extend([c] * remaining[c])
-
-    placed: list[tuple[int, int]] = list(pinned)
-    exempt_members: list[int] = [v for v, c in pinned if c == exempt_class]
-    nodes = 0
-
-    def ok_pair(u: int, v: int, u_exempt: bool, v_exempt: bool) -> bool:
-        if (g.adj[u] >> v) & 1:
-            return True
-        return u_exempt and v_exempt
-
-    # validate pins
-    for a_i in range(len(pinned)):
-        for b_i in range(a_i + 1, len(pinned)):
-            u, cu = pinned[a_i]
-            v, cv = pinned[b_i]
-            if not ok_pair(u, v, u in exempt_members, v in exempt_members):
-                return None
-
-    def place(idx: int, used_now: int) -> bool:
-        nonlocal nodes
-        if idx == len(slots):
-            return True
-        nodes += 1
-        if nodes > _REALIZE_NODE_CAP:
-            return False
-        c = slots[idx]
-        exempt_here = c == exempt_class and len(exempt_members) < 2
-        cand_mask = state.masks[c] & ~used_now & ~state.avoid
-        for v in bits_of(cand_mask):
-            good = True
-            for u, _cu in placed:
-                if not ok_pair(u, v, u in exempt_members, exempt_here):
-                    good = False
-                    break
-            if not good:
-                continue
-            placed.append((v, c))
-            if exempt_here:
-                exempt_members.append(v)
-            if place(idx + 1, used_now | (1 << v)):
-                return True
-            placed.pop()
-            if exempt_here:
-                exempt_members.pop()
-        return False
-
-    used_start = used
-    for v, _c in pinned:
-        used_start |= 1 << v
-    if place(0, used_start):
-        return list(placed)
-    return None
-
-
-def _copy_from_placement(g: Graph, placement: list[tuple[int, int]]) -> Copy:
-    """Assemble a clique-minus-an-edge copy; the nonadjacent (or designated)
-    pair plays pattern slots 0 and 1."""
-    verts = [v for v, _ in placement]
-    pair: list[int] = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if not g.has_edge(verts[i], verts[j]):
-                pair = sorted((verts[i], verts[j]))
-    if not pair:
-        emb = tuple(sorted(verts))
-    else:
-        rest = sorted(v for v in verts if v not in pair)
-        emb = tuple(pair + rest)
-    return Copy(tuple(sorted(verts)), emb)
+        slots += [open_masks[c]] * free[c]
+    pattern = kr_minus(state.r) if paired else complete_graph(state.r)
+    hosts = _lex_least_embedding(pattern, g, slots)
+    if hosts is None:
+        return None
+    verts = tuple(sorted(hosts))
+    a, b = sorted(hosts[:2])
+    if not paired or g.has_edge(a, b):
+        return Copy(verts, verts)
+    return Copy(verts, (a, b) + tuple(v for v in verts if v != a and v != b))
 
 
 def _run_batch(
@@ -443,13 +385,11 @@ def _remove_batch(
     batch: list[Copy] = []
     for ci, profile in enumerate(profiles):
         a = anchor if ci == 0 else None
-        placement = _realize_copy(state, profile, a, used)
-        if placement is None:
+        cp = _realize_copy(state, profile, a, used)
+        if cp is None:
             raise Stuck(stage, f"could not realize copy {ci} with profile {profile}")
-        cp = _copy_from_placement(state.g, placement)
         batch.append(cp)
-        for v, _c in placement:
-            used |= 1 << v
+        used |= cp.mask()
     for cp in batch:
         for v in cp.vertices:
             c = state.class_of(v)
@@ -485,7 +425,8 @@ def remove_proportional_batch(
     a = None
     if anchor is not None:
         class_of = p.class_of()
-        a = _Anchor(pinned=[(v, class_of[v]) for v in anchor.vertices])
+        # in embedding order, so the anchor's missing pair comes first
+        a = _Anchor(pinned=[(v, class_of[v]) for v in anchor.embedding])
         pair = [v for v in anchor.embedding[:2]]
         if not g.has_edge(pair[0], pair[1]):
             a.exempt_class = class_of[pair[0]]
@@ -534,7 +475,7 @@ def tidy(g: Graph, sparse_sets: Sequence[VertexSet], r: int, tau: Fraction) -> T
     Structural preconditions (divisibility, set sizes, disjointness) are
     hard errors. The degree and density hypotheses are checked but only
     logged into the trace: the procedure is attempted regardless, and a
-    greedy dead end surfaces as Stuck with its stage tag.
+    dead end surfaces as Stuck with its stage tag.
     """
     soft = _check_hypotheses(g, sparse_sets, r, tau)
     n = g.n

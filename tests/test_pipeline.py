@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from hfactor import pipeline
 from hfactor.constructions import (
     CanonicalSpec,
     bottle_graph,
@@ -152,6 +154,23 @@ def test_pipeline_timeout_keeps_the_stage_trace():
     stages = info.value.stages
     assert [s["stage"] for s in stages] == ["degree-check", "sparse-sets", "solver"]
     assert stages[-1] == {"stage": "solver", "result": "timeout"}
+
+
+def test_pipeline_budget_covers_both_solver_calls(monkeypatch):
+    budgets = []
+
+    def solver_using_its_whole_budget(h, g, budget_secs=None, stats=None):
+        budgets.append(budget_secs)
+        time.sleep(budget_secs)
+        raise Timeout("budget spent")
+
+    monkeypatch.setattr(pipeline, "find_perfect_packing", solver_using_its_whole_budget)
+    g = canonical_graph(CanonicalSpec(5, 1, 30))
+    with pytest.raises(Timeout) as info:
+        run_pipeline(g, 5, PipelineConfig(budget_secs=0.3))
+    # the remainder pack times out, then the fallback gets what is left
+    assert len(budgets) == 2 and sum(budgets) <= 0.3
+    assert [s["stage"] for s in info.value.stages][-2:] == ["remainder-pack", "solver"]
 
 
 def test_pipeline_agrees_with_solver_on_mixed_corpus():

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfactor.constructions import CanonicalSpec, canonical_graph, canonical_partition, kr_minus
 from hfactor.errors import BadParameter
 from hfactor.generators import noisy_canonical
 from hfactor.graphs import Graph, Partition, VertexSet, complete_graph
-from hfactor.solver import Copy, Packing, verify_packing
+from hfactor.solver import Copy, Packing, packing_defect, verify_packing
 from hfactor.tidy import (
+    _Anchor,
+    _realize_copy,
+    _TidyState,
     adjust_for_divisibility,
     classify,
     ge_power,
@@ -145,6 +152,16 @@ def test_remove_proportional_batch_with_anchor():
     assert verify_packing(kr_minus(4), g, Packing(tuple(batch), g.n))
 
 
+def test_anchor_missing_pair_among_three_pinned_remainder_vertices():
+    # the missing pair 7-8 is not the anchor's two smallest remainder vertices
+    g = complete_graph(12).drop_edges([(7, 8)])
+    p = Partition.from_lists([range(6), range(6, 12)], 12)
+    anchor = Copy((0, 6, 7, 8), (7, 8, 0, 6))
+    batch = remove_proportional_batch(g, p, 4, anchor=anchor)
+    assert batch[0] == anchor
+    assert verify_packing(kr_minus(4), g, Packing(tuple(batch), g.n))
+
+
 def test_tidy_clean_input_is_identity():
     g, p = _canonical_instance(4, 1, 80)
     res = tidy(g, [p[0]], 4, TAU)
@@ -267,3 +284,82 @@ def test_remove_proportional_batch_last_class_branch():
     removed = sorted(v for c in batch for v in c.vertices)
     assert removed == list(range(8))
     assert verify_packing(kr_minus(4), g, Packing(tuple(batch), 8))
+
+
+def test_realization_searches_past_twenty_thousand_nodes():
+    # every A-B pair with a remainder vertex that sees both sits at the top of B
+    a_cls, b_cls = range(40), range(40, 80)
+    edges = [(a, b) for a in a_cls for b in b_cls]
+    edges += [(80, a) for a in a_cls] + [(80, 78), (80, 79)]
+    edges += [(81, a) for a in a_cls] + [(81, 77)]
+    g = Graph.from_edges(82, edges)
+    p = Partition.from_lists([list(a_cls), list(b_cls), [80, 81]], 82)
+    batch = remove_proportional_batch(g, p, 4)
+    assert [(c.vertices, c.embedding) for c in batch] == [
+        ((0, 78, 79, 80), (78, 79, 0, 80)),
+        ((1, 2, 77, 81), (1, 2, 77, 81)),
+    ]
+
+
+def _fits(g, s, masks, profile, pinned, exempt, free_mask):
+    """s has the class profile, holds the pins, draws its other vertices
+    from free_mask and misses at most the exempt pair: the first two pins
+    of the exempt class, else one of them and a free member, else any two
+    members of that class."""
+    if [sum(1 for v in s if (m >> v) & 1) for m in masks] != profile:
+        return False
+    pins = [v for v, _c in pinned]
+    if not set(pins) <= set(s) or any(not (free_mask >> v) & 1 for v in s if v not in pins):
+        return False
+    missing = [(u, v) for u, v in combinations(s, 2) if not g.has_edge(u, v)]
+    if not missing:
+        return True
+    if len(missing) > 1 or exempt is None:
+        return False
+    pair = set(missing[0])
+    exempt_pins = [v for v, c in pinned if c == exempt][:2]
+    return all((masks[exempt] >> v) & 1 for v in pair) and (
+        pair == set(exempt_pins) if len(exempt_pins) == 2 else set(exempt_pins) <= pair
+    )
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_realize_copy_is_exhaustive(seed):
+    rng = random.Random(seed)
+    r = rng.randint(3, 5)
+    n = rng.randint(r, 9)
+    q = rng.randint(1, 3)
+    density = rng.choice([0.5, 0.8, 0.95])
+    g = Graph.from_edges(
+        n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < density]
+    )
+    class_of = [rng.randint(0, q) for _ in range(n)]
+    masks = [sum(1 << v for v in range(n) if class_of[v] == c) for c in range(q + 1)]
+    # profile, pins and exempt class drawn from one r-set, so that most cases fit
+    seed_set = rng.sample(range(n), r)
+    profile = [sum(1 for v in seed_set if class_of[v] == c) for c in range(q + 1)]
+    anchor = None
+    if rng.random() < 0.6:
+        pins = rng.sample(seed_set if rng.random() < 0.8 else range(n), rng.randint(0, r))
+        exempt = rng.choice([None, *sorted({class_of[v] for v in seed_set})])
+        anchor = _Anchor([(v, class_of[v]) for v in pins], exempt)
+    state = _TidyState(g, masks, r, TAU)
+    state.avoid = sum(1 << v for v in range(n) if rng.random() < 0.1)
+    used = sum(1 << v for v in range(n) if rng.random() < 0.1)
+    pinned = anchor.pinned if anchor else []
+    exempt = anchor.exempt_class if anchor else None
+    if exempt is None:
+        exempt = next((c for c in range(q) if profile[c] >= 2), None)
+    free_mask = ((1 << n) - 1) & ~state.avoid & ~used
+    fitting = {
+        s
+        for s in combinations(range(n), r)
+        if _fits(g, s, masks, profile, pinned, exempt, free_mask)
+    }
+    cp = _realize_copy(state, profile, anchor, used)
+    if cp is None:
+        assert not fitting
+    else:
+        assert cp.vertices in fitting
+        assert packing_defect(kr_minus(r), g, Packing((cp,), n)) is None
