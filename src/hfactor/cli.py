@@ -122,7 +122,7 @@ def _cmd_hallpack(args: argparse.Namespace) -> int:
     g = read_edge_list(args.host)
     classes = read_class_labels(args.classes, g.n)
     part = Partition.from_lists(classes, g.n)
-    result = pack_apex_multipartite(g, part, args.q, args.r, args.tau)
+    result = pack_apex_multipartite(g, part, args.q, args.r)
     if isinstance(result, PackFailure):
         _emit(
             {
@@ -231,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", required=True, help="JSON class sidecar")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--tau", type=Fraction, default=None)
     p.set_defaults(func=_cmd_hallpack)
 
     p = sub.add_parser("tidy", help="canonicalize a sparse-class partition")

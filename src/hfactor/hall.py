@@ -10,16 +10,12 @@ yields a Hall-violating witness set.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import apex_multipartite
 from .errors import BadParameter
 from .graphs import Graph, Partition, VertexSet, bits_of, contracted_adjacency
 from .solver import Copy, Packing
-
-logger = logging.getLogger(__name__)
 
 
 def default_tolerance(q: int, r: int) -> Fraction:
@@ -171,8 +167,9 @@ def contract_stars(g: Graph, sp: StarPacking, rest: list[VertexSet]) -> tuple[Gr
     """Replace each star by a single vertex adjacent to exactly the vertices
     adjacent to the whole star; `rest` classes keep their induced adjacency.
 
-    Returns the contracted graph and a back map from its vertices to host
-    vertex tuples (singletons for untouched vertices).
+    Returns the contracted graph, which carries no class labels, and a back
+    map from its vertices to host vertex tuples (singletons for untouched
+    vertices, then one sorted tuple per star).
     """
     rest_bits = 0
     for c in rest:
@@ -181,42 +178,17 @@ def contract_stars(g: Graph, sp: StarPacking, rest: list[VertexSet]) -> tuple[Gr
     stars = [tuple(sorted((c,) + ls)) for c, ls in sorted(sp.stars)]
     adj = contracted_adjacency(g, rest_verts, stars)
     back_map = [(v,) for v in rest_verts] + stars
-    labels = None
-    if g.labels is not None:
-        contracted_label = max(g.labels) + 1
-        labels = [g.labels[v] for v in rest_verts] + [contracted_label] * len(stars)
-    return Graph(len(adj), adj, labels), back_map
+    return Graph(len(adj), adj), back_map
 
 
-def _check_hypothesis(g: Graph, classes: list[VertexSet], tau: Fraction) -> list[str]:
-    warnings = []
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            if i == j:
-                continue
-            size_j = len(cj)
-            for v in ci:
-                miss = size_j - (g.adj[v] & cj.bits).bit_count()
-                if miss > tau * size_j:
-                    warnings.append(
-                        f"vertex {v} of class {i} misses {miss}/{size_j} of class {j}"
-                    )
-    return warnings
-
-
-def pack_apex_multipartite(
-    g: Graph,
-    classes: Partition,
-    q: int,
-    r: int,
-    tau: Fraction | None = None,
-) -> Packing | PackFailure:
+def pack_apex_multipartite(g: Graph, classes: Partition, q: int, r: int) -> Packing | PackFailure:
     """Perfect packing of a (q+1)-partite host by apex multipartite copies.
 
-    Classes 0..q-1 must have size k*r and class q size k. The adjacency
-    hypothesis (every vertex misses at most a tau fraction of each other
-    class) is checked and logged, but the recursion is attempted either
-    way; its success or failure is exact.
+    Classes 0..q-1 must have size k*r and class q size k. The recursion
+    needs no adjacency hypothesis checked up front: it succeeds whenever
+    every level's star matching exists (``default_tolerance`` bounds the
+    misses under which that is guaranteed), and a level that has none
+    returns a PackFailure with its Hall witness, so the outcome is exact.
     """
     if len(classes) != q + 1:
         raise BadParameter(f"expected {q + 1} classes, got {len(classes)}")
@@ -226,20 +198,9 @@ def pack_apex_multipartite(
             raise BadParameter(
                 f"class {i} has {len(classes[i])} vertices, expected k*r = {k * r}"
             )
-    if tau is None:
-        tau = default_tolerance(q, r)
-    warnings = _check_hypothesis(g, list(classes.classes), tau)
-    if warnings:
-        logger.warning(
-            "adjacency hypothesis violated for %d vertex/class pairs (first: %s); attempting anyway",
-            len(warnings),
-            warnings[0],
-        )
-
     copies_classes = _pack_levels(g, list(classes.classes), q, r)
     if isinstance(copies_classes, PackFailure):
         return copies_classes
-    pattern = apex_multipartite(q, r)
     out = []
     for parts in copies_classes:
         emb: list[int] = []

@@ -332,8 +332,9 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
     Follows the sparse-set route when the host is extremal-like, else
     (or on any intermediate dead end) the direct exact solver. The
     returned packing, when present, always verifies. The budget covers
-    the whole run: each solver call gets the time left of it. A Timeout
-    from the direct solver carries the stage trace so far as ``stages``.
+    the whole run: each solver call gets the time left of it, and the
+    deadline is checked again before tidy, the Hall packer and expansion.
+    A Timeout carries the stage trace so far as ``stages``.
     """
     cfg = config or PipelineConfig()
     t0 = time.monotonic()
@@ -343,6 +344,13 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
 
     def budget_left() -> float | None:
         return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+    def check_deadline(stage: str) -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            stages.append({"stage": stage, "result": "timeout"})
+            exc = Timeout(f"budget exhausted before {stage}")
+            exc.stages = stages
+            raise exc
 
     def finish(decision: bool, packing: Packing | None, path: str) -> PipelineResult:
         if packing is not None:
@@ -377,6 +385,7 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
     if q == 0:
         return direct("direct")
 
+    check_deadline("tidy")
     try:
         result: TidyResult = tidy(g, sparse_sets, r, ladder.tau_for(q))
     except Stuck as exc:
@@ -397,6 +406,7 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
         return direct("fallback")
     stages.append({"stage": "remainder-pack", "copies": len(b1pack.copies)})
 
+    check_deadline("auxiliary-pack")
     sparse_star = [result.partition_star[i] for i in range(q)]
     aux = build_auxiliary(g, sparse_star, b1pack, r)
     jpack = pack_apex_multipartite(
@@ -410,6 +420,7 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
         return direct("fallback")
     stages.append({"stage": "auxiliary-pack", "copies": len(jpack.copies)})
 
+    check_deadline("expand")
     expanded = expand_packing(aux, jpack, b1pack, r, q, g)
     final = Packing(tuple(result.removed) + tuple(expanded), g.n)
     stages.append({"stage": "expand", "copies": len(final.copies)})

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .constructions import kr_minus, kr_minus_threshold, remainder_pattern_order, sparse_class_size
 from .errors import BadParameter, Stuck
-from .graphs import Graph, Partition, VertexSet, bits_of, complete_graph, density_within, induced
+from .graphs import Graph, Partition, VertexSet, bits_of, complete_graph, density_within
 from .solver import Copy, Packing, _lex_least_embedding, packing_defect
 
 
@@ -64,9 +64,12 @@ class VertexClassification:
 
 @dataclass
 class TidyResult:
-    """Canonical core plus the copies removed to reach it."""
+    """Canonical core plus the copies removed to reach it.
 
-    g_star: Graph
+    The core is given by its classes, as host vertex sets; a caller that
+    needs the core graph itself takes ``induced`` on their union.
+    """
+
     partition_star: Partition  # host-indexed classes of the core
     removed: list[Copy]  # host-indexed copies, pairwise disjoint
     trace: list[dict]
@@ -193,12 +196,11 @@ class _Anchor:
 
 
 class _TidyState:
-    def __init__(self, g: Graph, masks: list[int], r: int, tau: Fraction):
+    def __init__(self, g: Graph, masks: list[int], r: int):
         self.g = g
         self.masks = masks
         self.r = r
         self.q = len(masks) - 1
-        self.tau = tau
         self.removed: list[Copy] = []
         self.trace: list[dict] = []
         self.avoid = 0  # useless / reserved vertices, excluded from greedy picks
@@ -238,7 +240,9 @@ def _distribute(
     sparse class commits the pair there, and an anchor whose pair lives
     in the remainder class blocks sparse doubling for copy 0. Copy 0
     starts from the anchor's counts. The remainder class absorbs each
-    copy's slack. First feasible assignment in deterministic order wins.
+    copy's slack; since no copy is filled past r and both callers make
+    ``sum(take) == r * n_copies``, that slack always sums to take[q].
+    First feasible assignment in deterministic order wins.
     """
     q = len(take) - 1
     profiles = [[0] * (q + 1) for _ in range(n_copies)]
@@ -254,19 +258,9 @@ def _distribute(
 
     def assign(c: int) -> bool:
         if c == q:
-            # remainder fills the slack; verify it matches the target
-            total = 0
             for cp in range(n_copies):
-                slack = r - sparse_load(profiles[cp]) - profiles[cp][q]
-                if slack < 0:
-                    return False
-                profiles[cp][q] += slack
-                total += profiles[cp][q]
-            if total == take[q]:
-                return True
-            for cp in range(n_copies):
-                profiles[cp][q] = anchor_counts[q] if cp == 0 else 0
-            return False
+                profiles[cp][q] = r - sparse_load(profiles[cp])
+            return True
         need = take[c] - sum(profiles[cp][c] for cp in range(n_copies))
         if need < 0:
             return False
@@ -409,19 +403,10 @@ def remove_proportional_batch(
     p: Partition,
     r: int,
     anchor: Copy | None = None,
-    tau: Fraction | None = None,
 ) -> list[Copy]:
     """Public batch primitive: r-2 disjoint copies jointly taking exactly
-    r-1 vertices from each sparse class, remainder from the last class.
-
-    When tau is given, unpinned picks avoid useless vertices."""
-    q = len(p) - 1
-    state = _TidyState(g, [c.bits for c in p.classes], r, tau or Fraction(0))
-    if tau is not None:
-        cls = classify(g, p, tau)
-        for x in range(g.n):
-            if cls.useless[x]:
-                state.avoid |= 1 << x
+    r-1 vertices from each sparse class, remainder from the last class."""
+    state = _TidyState(g, [c.bits for c in p.classes], r)
     a = None
     if anchor is not None:
         class_of = p.class_of()
@@ -430,8 +415,6 @@ def remove_proportional_batch(
         pair = [v for v in anchor.embedding[:2]]
         if not g.has_edge(pair[0], pair[1]):
             a.exempt_class = class_of[pair[0]]
-        for v in anchor.vertices:
-            state.avoid &= ~(1 << v)
     _run_batch(state, "proportional-batch", a, {})
     return state.removed
 
@@ -486,7 +469,7 @@ def tidy(g: Graph, sparse_sets: Sequence[VertexSet], r: int, tau: Fraction) -> T
     p0 = Partition(tuple(sparse_sets) + (VertexSet(rest_bits, n),), n)
     p1, k = adjust_for_divisibility(g, p0, r)
 
-    state = _TidyState(g, [c.bits for c in p1.classes], r, tau)
+    state = _TidyState(g, [c.bits for c in p1.classes], r)
     for w in soft:
         state.trace.append({"stage": "hypotheses", "action": "warn", "detail": w})
     if k:
@@ -494,11 +477,10 @@ def tidy(g: Graph, sparse_sets: Sequence[VertexSet], r: int, tau: Fraction) -> T
 
     cls = classify(g, p1, tau)
     p2 = swap_bad_exceptional(g, p1, cls)
-    swap_count = sum(1 for i in range(q + 1) if p2[i].bits != state.masks[i])
-    state.masks = [c.bits for c in p2.classes]
-    if swap_count:
+    if p2 != p1:
+        state.masks = [c.bits for c in p2.classes]
         state.trace.append({"stage": "swap", "action": "swap-bad-exceptional"})
-    cls = classify(g, p2, tau)
+        cls = classify(g, p2, tau)
     for w in cls.warnings:
         state.trace.append({"stage": "classify", "action": "warn", "detail": w})
 
@@ -506,17 +488,14 @@ def tidy(g: Graph, sparse_sets: Sequence[VertexSet], r: int, tau: Fraction) -> T
         if cls.useless[x] or cls.exceptional[x]:
             state.avoid |= 1 << x
 
-    def removed_bit(v: int) -> bool:
-        return not any((m >> v) & 1 for m in state.masks)
-
     # --- exceptional vertices ---------------------------------------------
     handled: set[int] = set()
     if q == r - 2:
         handled = _handle_exceptional_last_class(state, cls)
     for x in sorted(cls.exceptional_vertices(), key=lambda v: (cls.class_of[v], v)):
-        if removed_bit(x) or x in handled:
-            continue
         i = state.class_of(x)
+        if i < 0 or x in handled:
+            continue
         if q == r - 2 and cls.class_of[x] == q:
             continue  # remainder-class vertices go through the matching path
         targets = cls.exceptional[x]
@@ -526,19 +505,12 @@ def tidy(g: Graph, sparse_sets: Sequence[VertexSet], r: int, tau: Fraction) -> T
         if j == q and q <= r - 3:
             raise Stuck("exceptional", f"vertex {x} exceptional for the remainder class")
         state.move(x, j, "exceptional")
-        moves = {j: 1, i: -1}
-        if j == q:
-            anchor = _Anchor(pinned=[(x, j)], exempt_class=q)
-        else:
-            anchor = _Anchor(pinned=[(x, j)], exempt_class=j)
         state.avoid &= ~(1 << x)
-        _run_batch(state, "exceptional", anchor, moves)
+        _run_batch(state, "exceptional", _Anchor(pinned=[(x, j)], exempt_class=j), {j: 1, i: -1})
 
     # --- vertices deficient towards the remainder class -------------------
     u_set = []
     for x in range(n):
-        if removed_bit(x):
-            continue
         i = state.class_of(x)
         if i < 0 or i >= q:
             continue
@@ -547,9 +519,9 @@ def tidy(g: Graph, sparse_sets: Sequence[VertexSet], r: int, tau: Fraction) -> T
             u_set.append(x)
     requeued: list[int] = []
     for x in sorted(u_set):
-        if removed_bit(x):
-            continue
         i = state.class_of(x)
+        if i < 0:
+            continue
         state.move(x, q, "relocate")
         anchor = _Anchor(pinned=[], exempt_class=q)
         _run_batch(state, "relocate", anchor, {i: -1, q: 1})
@@ -558,13 +530,13 @@ def tidy(g: Graph, sparse_sets: Sequence[VertexSet], r: int, tau: Fraction) -> T
     # --- remaining useless vertices ----------------------------------------
     queue = []
     for x in range(n):
-        if removed_bit(x) or not cls.useless[x]:
+        if state.class_of(x) < 0 or not cls.useless[x]:
             continue
         if x in requeued or x in handled:
             continue
         queue.append(x)
     for x in requeued:
-        if removed_bit(x):
+        if state.class_of(x) < 0:
             continue
         deficient = any(
             ge_power(cls.class_sizes[j] - cls.cross_counts[x][j], tau, cls.class_sizes[j], 4)
@@ -574,7 +546,7 @@ def tidy(g: Graph, sparse_sets: Sequence[VertexSet], r: int, tau: Fraction) -> T
             queue.append(x)
     # one pass over the initially flagged vertices; nothing is requeued past it
     for x in sorted(queue):
-        if removed_bit(x):
+        if state.class_of(x) < 0:
             continue
         _handle_useless(state, cls, x)
 
@@ -583,21 +555,15 @@ def tidy(g: Graph, sparse_sets: Sequence[VertexSet], r: int, tau: Fraction) -> T
         _final_rebalance(state, k)
 
     _verify_result(state, g, n, tau)
-    star_masks = list(state.masks)
-    union = 0
-    for m in star_masks:
-        union |= m
-    part = Partition(tuple(VertexSet(m, n) for m in star_masks), n)
-    g_star = induced(g, VertexSet(union, n))
-    return TidyResult(g_star, part, state.removed, state.trace, union.bit_count())
+    part = Partition(tuple(VertexSet(m, n) for m in state.masks), n)
+    return TidyResult(part, state.removed, state.trace, sum(m.bit_count() for m in state.masks))
 
 
 def _handle_exceptional_last_class(state: _TidyState, cls: VertexClassification) -> set[int]:
     """q = r-2 branch: exceptional vertices of the remainder class leave via
     matching swaps inside their target sparse class. Returns the vertices
     it dealt with."""
-    g, q, tau = state.g, state.q, state.tau
-    n = g.n
+    q, n = state.q, state.g.n
     per_target: dict[int, list[int]] = {}
     for x in range(n):
         if cls.class_of[x] != q or not cls.exceptional[x]:
@@ -664,7 +630,7 @@ def _internal_matching(state: _TidyState, i: int, need: int) -> list[tuple[int, 
 
 def _handle_useless(state: _TidyState, cls: VertexClassification, x: int) -> None:
     """Remove one useless vertex inside an anchored batch."""
-    g, q, r = state.g, state.q, state.r
+    g, q = state.g, state.q
     i = state.class_of(x)
     if i < q:
         choices = [j for j in range(q) if j != i]

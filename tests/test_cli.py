@@ -5,8 +5,17 @@ import json
 import pytest
 
 from hfactor.cli import main
-from hfactor.constructions import bottle_graph, kr_minus
-from hfactor.graphs import read_edge_list, write_class_labels, write_edge_list
+from hfactor.constructions import (
+    CanonicalSpec,
+    apex_multipartite,
+    bottle_graph,
+    canonical_graph,
+    kr_minus,
+    multipartite_extremal,
+    remainder_pattern,
+)
+from hfactor.generators import random_graph
+from hfactor.graphs import complete_multipartite, read_edge_list, write_class_labels, write_edge_list
 
 
 @pytest.fixture()
@@ -97,6 +106,52 @@ def test_cli_construct_canonical_and_pipeline(capsys, tmp_path):
     assert trace.exists()
 
 
+def test_cli_pipeline_ladder(capsys, tmp_path):
+    out = tmp_path / "k.txt"
+    write_edge_list(canonical_graph(CanonicalSpec(4, 1, 16)), out)
+    argv = ["pipeline", "--host", str(out), "--r", "4", "--ladder", '["1/10000", "1/1000", "1/100"]']
+    code, data = _run(capsys, argv)
+    assert code == 0
+    assert data["decision"] == "exists" and data["path"] == "pipeline"
+    assert data["stage_trace"][0] == {"stage": "sparse-sets", "q": 1}
+
+
+def test_cli_random(capsys, tmp_path):
+    out = tmp_path / "r.txt"
+    code, data = _run(
+        capsys, ["random", "--n", "10", "--p", "0.5", "--seed", "3", "--out", str(out)]
+    )
+    g = random_graph(10, 0.5, 3)
+    assert code == 0
+    assert data == {"n": 10, "m": g.edge_count(), "out": str(out)}
+    assert read_edge_list(out).adj == g.adj
+
+
+@pytest.mark.parametrize(
+    "kind,build",
+    [
+        ("krminus", lambda h: kr_minus(5)),
+        ("bottle", bottle_graph),
+        ("extremal-multi", lambda h: multipartite_extremal(h, 2)),
+        ("remainder", lambda h: remainder_pattern(5, 2)),
+        ("apex", lambda h: apex_multipartite(2, 5)),
+    ],
+)
+def test_cli_construct_kinds(capsys, tmp_path, kind, build):
+    pattern = tmp_path / "h.txt"
+    h = complete_multipartite([1, 3, 3])
+    write_edge_list(h, pattern)
+    out = tmp_path / "g.txt"
+    argv = ["construct", kind, "--r", "5", "--q", "2", "--k", "2", "--pattern", str(pattern)]
+    code, data = _run(capsys, argv + ["--out", str(out)])
+    g = build(h)
+    assert code == 0
+    assert data == {"n": g.n, "m": g.edge_count(), "out": str(out)}
+    assert read_edge_list(out).adj == g.adj
+    sidecar = tmp_path / "g.txt.classes.json"
+    assert sidecar.exists() == (g.labels is not None)
+
+
 def test_cli_pipeline_timeout_prints_the_stage_trace(capsys, tmp_path):
     from hfactor.generators import random_graph
 
@@ -125,6 +180,25 @@ def test_cli_hallpack(capsys, tmp_path):
     assert code == 0
     assert data["decision"] == "exists"
     assert len(data["packing"]) == 2
+
+
+def test_cli_hallpack_prints_the_hall_witness(capsys, tmp_path):
+    # centre 6 keeps only leaves 4 and 5, so it cannot take r = 3 of them
+    g = complete_multipartite([6, 2]).drop_edges([(6, 0), (6, 1), (6, 2), (6, 3)])
+    host = tmp_path / "h.txt"
+    write_edge_list(g, host)
+    sidecar = tmp_path / "h.classes.json"
+    write_class_labels(g, sidecar)
+    argv = ["hallpack", "--host", str(host), "--classes", str(sidecar), "--q", "1", "--r", "3"]
+    code, data = _run(capsys, argv)
+    assert code == 1
+    assert data == {
+        "decision": "absent",
+        "level": 1,
+        "hall_witness": {"centers": [6], "neighborhood": [4, 5]},
+    }
+    with pytest.raises(SystemExit):
+        main(argv + ["--tau", "1/2"])
 
 
 def test_cli_tidy(capsys, tmp_path):

@@ -18,6 +18,7 @@ from hfactor.constructions import (
 from hfactor.errors import BadParameter, Timeout
 from hfactor.generators import planted_sparse_graph, random_graph
 from hfactor.graphs import VertexSet, complete_graph
+from hfactor.hall import HallWitness, PackFailure
 from hfactor.pipeline import (
     PipelineConfig,
     TauLadder,
@@ -171,6 +172,53 @@ def test_pipeline_budget_covers_both_solver_calls(monkeypatch):
     # the remainder pack times out, then the fallback gets what is left
     assert len(budgets) == 2 and sum(budgets) <= 0.3
     assert [s["stage"] for s in info.value.stages][-2:] == ["remainder-pack", "solver"]
+
+
+def test_pipeline_budget_reaches_the_structural_route():
+    # q = r - 2: the route makes no solver call, so only its own checks can stop it
+    g = canonical_graph(CanonicalSpec(4, 2, 240))
+    with pytest.raises(Timeout) as info:
+        run_pipeline(g, 4, PipelineConfig(budget_secs=0.0))
+    stages = info.value.stages
+    assert {"stage": "sparse-sets", "q": 2} in stages
+    assert stages[-1] == {"stage": "tidy", "result": "timeout"}
+
+
+@pytest.mark.parametrize(
+    "slow,stage", [("pack_remainder_class", "auxiliary-pack"), ("pack_apex_multipartite", "expand")]
+)
+def test_pipeline_budget_is_checked_between_route_stages(monkeypatch, slow, stage):
+    real = getattr(pipeline, slow)
+
+    def spend_the_budget(*args):
+        time.sleep(0.25)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, slow, spend_the_budget)
+    with pytest.raises(Timeout) as info:
+        run_pipeline(canonical_graph(CanonicalSpec(4, 1, 16)), 4, PipelineConfig(budget_secs=0.2))
+    assert info.value.stages[-1] == {"stage": stage, "result": "timeout"}
+
+
+@pytest.mark.parametrize(
+    "stub,attr,entry",
+    [
+        (lambda *args: None, "pack_remainder_class", {"stage": "remainder-pack", "result": "absent"}),
+        (
+            lambda *args: PackFailure(1, HallWitness((0,), (), 3)),
+            "pack_apex_multipartite",
+            {"stage": "auxiliary-pack", "result": "hall failure at level 1"},
+        ),
+    ],
+    ids=["remainder-absent", "hall-failure"],
+)
+def test_pipeline_falls_back_after_a_route_dead_end(monkeypatch, stub, attr, entry):
+    g = canonical_graph(CanonicalSpec(4, 1, 16))
+    monkeypatch.setattr(pipeline, attr, stub)
+    res = run_pipeline(g, 4)
+    assert res.decision and res.path == "fallback"
+    assert res.stages[-2:] == [entry, {"stage": "solver", "result": "exists"}]
+    assert verify_packing(kr_minus(4), g, res.packing, require_perfect=True)
 
 
 def test_pipeline_agrees_with_solver_on_mixed_corpus():

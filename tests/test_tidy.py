@@ -344,7 +344,7 @@ def test_realize_copy_is_exhaustive(seed):
         pins = rng.sample(seed_set if rng.random() < 0.8 else range(n), rng.randint(0, r))
         exempt = rng.choice([None, *sorted({class_of[v] for v in seed_set})])
         anchor = _Anchor([(v, class_of[v]) for v in pins], exempt)
-    state = _TidyState(g, masks, r, TAU)
+    state = _TidyState(g, masks, r)
     state.avoid = sum(1 << v for v in range(n) if rng.random() < 0.1)
     used = sum(1 << v for v in range(n) if rng.random() < 0.1)
     pinned = anchor.pinned if anchor else []
