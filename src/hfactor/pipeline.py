@@ -95,25 +95,50 @@ class PipelineResult:
 # Sparse-set detection
 
 
-def _improve_sparse_set(g: Graph, bits: int, pool: int, max_iters: int) -> int:
-    """Steepest-descent swaps minimizing internal edges of the set."""
-    for _ in range(max_iters):
-        members = list(bits_of(bits))
+def _improve_sparse_set(g: Graph, bits: int, pool: int, max_swaps: int) -> int:
+    """Steepest-descent swaps minimizing internal edges of the set.
+
+    Swapping member u for outsider v (v in pool) removes
+    inside[u] - inside[v] + [uv in E] internal edges, where inside[x]
+    counts the neighbours of x in the set. Each step takes the largest
+    positive gain, the first in (u, v) ascending order on ties, so only
+    outsiders at the least count m (the gain's + 1 needs one adjacent to
+    u) or at m + 1 adjacent to u can win. The counts are kept for every
+    host vertex and updated per swap by walking adj[u] and adj[v].
+    """
+    adj = g.adj
+    inside = [(a & bits).bit_count() for a in adj]
+    for _ in range(max_swaps):
         outside = list(bits_of(pool & ~bits))
+        if not outside:
+            break
+        low = min(inside[v] for v in outside)
+        at_low = at_next = 0
+        for v in outside:
+            if inside[v] == low:
+                at_low |= 1 << v
+            elif inside[v] == low + 1:
+                at_next |= 1 << v
         best_gain = 0
         best_swap: tuple[int, int] | None = None
-        indeg = {u: (g.adj[u] & bits).bit_count() for u in members}
-        for u in members:
-            without_u = bits & ~(1 << u)
-            for v in outside:
-                gain = indeg[u] - (g.adj[v] & without_u).bit_count()
-                if gain > best_gain:
-                    best_gain = gain
-                    best_swap = (u, v)
+        for u in bits_of(bits):
+            hit = at_low & adj[u]
+            if hit:
+                gain = inside[u] - low + 1
+            else:
+                gain = inside[u] - low
+                hit = at_low | (at_next & adj[u])
+            if gain > best_gain:
+                best_gain = gain
+                best_swap = (u, (hit & -hit).bit_length() - 1)
         if best_swap is None:
             break
         u, v = best_swap
-        bits = (bits & ~(1 << u)) | (1 << v)
+        bits ^= (1 << u) | (1 << v)
+        for x in bits_of(adj[u]):
+            inside[x] -= 1
+        for x in bits_of(adj[v]):
+            inside[x] += 1
     return bits
 
 
@@ -124,8 +149,6 @@ def _find_one_sparse_set(
     if pool.bit_count() < size:
         return None
     candidates = sorted(bits_of(pool), key=lambda v: (g.degree(v), v))
-    seeds = []
-    seeds.append(candidates[:size])
     # greedy grow: always the vertex adding the fewest internal edges
     grown = [candidates[0]]
     grown_bits = 1 << candidates[0]
@@ -135,14 +158,14 @@ def _find_one_sparse_set(
         grown.append(v)
         grown_bits |= 1 << v
         rest.remove(v)
-    seeds.append(grown)
-    budget = 4 * g.n
+    seeds = [candidates[:size], grown]
+    max_swaps = 4 * g.n
     threshold = tau * math.comb(size, 2)
     for seed in seeds:
         bits = 0
         for v in seed:
             bits |= 1 << v
-        bits = _improve_sparse_set(g, bits, pool, budget)
+        bits = _improve_sparse_set(g, bits, pool, max_swaps)
         vs = VertexSet(bits, g.n)
         if edges_within(g, vs) <= threshold:
             return vs

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 
@@ -16,8 +17,8 @@ from hfactor.constructions import (
     remainder_pattern,
 )
 from hfactor.errors import BadParameter, Timeout
-from hfactor.generators import planted_sparse_graph, random_graph
-from hfactor.graphs import VertexSet, complete_graph
+from hfactor.generators import noisy_canonical, planted_sparse_graph, random_graph
+from hfactor.graphs import Graph, VertexSet, bits_of, complete_graph
 from hfactor.hall import HallWitness, PackFailure
 from hfactor.pipeline import (
     PipelineConfig,
@@ -69,6 +70,47 @@ def test_find_sparse_sets_on_blocker():
     for s in sets:
         members = s.to_list()
         assert all(not g.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1 :])
+
+
+def _full_table_swaps(g, bits, pool, max_swaps):
+    """Reference: every member/outsider gain recomputed on every step."""
+    for _ in range(max_swaps):
+        best_gain = 0
+        best_swap = None
+        indeg = {u: (g.adj[u] & bits).bit_count() for u in bits_of(bits)}
+        for u in bits_of(bits):
+            without_u = bits & ~(1 << u)
+            for v in bits_of(pool & ~bits):
+                gain = indeg[u] - (g.adj[v] & without_u).bit_count()
+                if gain > best_gain:
+                    best_gain = gain
+                    best_swap = (u, v)
+        if best_swap is None:
+            break
+        u, v = best_swap
+        bits = (bits & ~(1 << u)) | (1 << v)
+    return bits
+
+
+def test_sparse_set_swaps_match_the_full_gain_table():
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    # (1, 3) and (2, 3) both gain 1: the first member wins
+    assert pipeline._improve_sparse_set(path, 0b0111, 0b1111, 16) == 0b1101
+    # for member 0, outsider 1 (one inside neighbour, adjacent to 0)
+    # ties with outsider 2 (none inside, not adjacent): the lower wins
+    fork = Graph.from_edges(4, [(0, 1), (0, 3)])
+    assert pipeline._improve_sparse_set(fork, 0b1001, 0b1111, 16) == 0b1010
+    assert pipeline._improve_sparse_set(path, 0b0111, 0b0111, 16) == 0b0111  # no outsider
+    assert pipeline._improve_sparse_set(path, 0b0111, 0b0011, 16) == 0b0111
+    rng = random.Random(20061)
+    for _ in range(600):
+        n = rng.randint(2, 40)
+        g = random_graph(n, rng.random(), rng.randrange(1 << 30))
+        pool = rng.getrandbits(n) | rng.getrandbits(n)
+        bits = rng.getrandbits(n) & (pool if rng.random() < 0.8 else (1 << n) - 1)
+        cap = rng.randint(0, 4 * n)
+        want = _full_table_swaps(g, bits, pool, cap)
+        assert pipeline._improve_sparse_set(g, bits, pool, cap) == want
 
 
 def test_pack_remainder_trivial_when_pattern_edgeless():
@@ -134,6 +176,15 @@ def test_pipeline_succeeds_on_structured_hosts(make):
     res = run_pipeline(g, 4)
     assert res.decision and res.path == "pipeline"
     assert verify_packing(kr_minus(4), g, res.packing, require_perfect=True)
+
+
+def test_pipeline_answers_a_thousand_vertex_host_within_budget():
+    g, _ = noisy_canonical(CanonicalSpec(4, 2, 1000), 12345, planted_exceptional=1)
+    ladder = TauLadder((Fraction(1, 10000), Fraction(1, 100)))
+    res = run_pipeline(g, 4, PipelineConfig(ladder=ladder, budget_secs=5.0))
+    assert res.path == "pipeline"
+    assert res.decision
+    assert verify_packing(kr_minus(4), g, res.packing)
 
 
 def test_pipeline_blocker_reaches_absent():
