@@ -53,15 +53,6 @@ class VertexSet:
     def __contains__(self, v: int) -> bool:
         return bool((self.bits >> v) & 1)
 
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.bits & other.bits, self.host_n)
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.bits | other.bits, self.host_n)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.bits & ~other.bits, self.host_n)
-
     def to_list(self) -> list[int]:
         return list(self)
 

@@ -34,7 +34,6 @@ class StarPacking:
     """Disjoint stars: each centre paired with r leaves it is adjacent to."""
 
     stars: tuple[tuple[int, tuple[int, ...]], ...]  # (centre, leaves)
-    r: int
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def star_pack(g: Graph, big: VertexSet, small: VertexSet, r: int) -> StarPacking
     for ci, c in enumerate(centers):
         star_leaves = tuple(sorted(leaves[match_of_slot[ci * r + j]] for j in range(r)))
         stars.append((c, star_leaves))
-    return StarPacking(tuple(stars), r)
+    return StarPacking(tuple(stars))
 
 
 def _hall_witness(

@@ -1,7 +1,8 @@
 """Exact chromatic invariants of a pattern graph.
 
-Computes the chromatic number by branch and bound, enumerates the
-class-size multisets of all optimal colourings, and derives from them
+One explicit-stack colouring search decides the chromatic number
+(counting up from a greedy clique bound) and enumerates the class-size
+multisets of all optimal colourings; from these the module derives
 the critical chromatic number, the consecutive-difference set and the
 combined divisibility condition that decides which degree threshold
 (critical-chromatic or chromatic) governs perfect packings of the
@@ -11,6 +12,7 @@ pattern.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,20 +49,6 @@ class HcfReport:
     hcf_is_one: bool
 
 
-def _greedy_upper_bound(h: Graph) -> int:
-    order = sorted(range(h.n), key=lambda v: -h.degree(v))
-    colour = [-1] * h.n
-    used = 0
-    for v in order:
-        taken = {colour[w] for w in bits_of(h.adj[v]) if colour[w] >= 0}
-        c = 0
-        while c in taken:
-            c += 1
-        colour[v] = c
-        used = max(used, c + 1)
-    return used
-
-
 def _greedy_clique_bound(h: Graph) -> int:
     best = 1 if h.n else 0
     for seed in range(h.n):
@@ -74,81 +62,79 @@ def _greedy_clique_bound(h: Graph) -> int:
     return best
 
 
-def _colourable(h: Graph, k: int) -> bool:
-    """Exact k-colourability via backtracking with symmetry breaking."""
-    order = sorted(range(h.n), key=lambda v: -h.degree(v))
-    colour = [-1] * h.n
+def _colourings(h: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """Sorted class sizes of every colouring of h into exactly k non-empty classes.
 
-    def place(idx: int, used: int) -> bool:
-        if idx == h.n:
-            return True
-        v = order[idx]
-        taken = 0
-        for w in bits_of(h.adj[v]):
-            if colour[w] >= 0:
-                taken |= 1 << colour[w]
-        limit = min(k, used + 1)  # first use of a new colour is canonical
-        for c in range(limit):
-            if (taken >> c) & 1:
-                continue
-            colour[v] = c
-            if place(idx + 1, max(used, c + 1)):
-                return True
-            colour[v] = -1
-        return False
-
-    return place(0, 0)
+    Walks them on an explicit stack, placing the vertices component by
+    component, each in descending degree. ``free[i]`` holds the classes
+    the i-th vertex may still try: opened classes holding none of its
+    neighbours, plus the next unopened one (classes open in order, which
+    breaks the colour symmetry). A vertex must open a class when only as
+    many vertices are left as unopened classes.
+    """
+    n = h.n
+    order = [v for c in component_sets(h) for v in sorted(c, key=lambda v: -h.degree(v))]
+    adj = [h.adj[v] for v in order]
+    bit = [1 << v for v in order]
+    classes = [0] * k
+    colour = [-1] * n
+    opened = [0] * n  # classes opened by the vertices before the i-th
+    free = [1 if 0 < k <= n else 0] + [0] * (n - 1)  # classes left to try, as bits
+    i = 0
+    while i >= 0:
+        c = colour[i]
+        if c >= 0:
+            classes[c] ^= bit[i]
+        f = free[i]
+        if not f:
+            colour[i] = -1
+            i -= 1
+            continue
+        low = f & -f
+        free[i] = f ^ low
+        c = colour[i] = low.bit_length() - 1
+        classes[c] |= bit[i]
+        if i + 1 == n:
+            yield tuple(sorted(m.bit_count() for m in classes))
+            continue
+        used = opened[i] + (c == opened[i])
+        i += 1
+        opened[i] = used
+        if used + n - i == k:
+            free[i] = 1 << used
+            continue
+        a = adj[i]
+        f = 1 << used if used < k else 0
+        for c in range(used):
+            if not a & classes[c]:
+                f |= 1 << c
+        free[i] = f
 
 
 def chromatic_number(h: Graph) -> int:
-    """Exact chromatic number (clique lower bound, greedy upper bound, refinement)."""
+    """Exact chromatic number: the least k, from the greedy clique bound up, with a k-colouring.
+
+    Counting starts at the clique bound because each k below it would cost
+    a full refutation: Stirling-number many partial colourings on a complete
+    multipartite host.
+    """
     if h.n == 0:
         raise EmptyGraph("chromatic number of the empty graph")
-    lo = _greedy_clique_bound(h)
-    hi = _greedy_upper_bound(h)
-    k = lo
-    while k < hi and not _colourable(h, k):
+    k = _greedy_clique_bound(h)
+    while next(_colourings(h, k), None) is None:
         k += 1
     return k
 
 
 def colouring_profile(h: Graph) -> ColouringProfile:
-    """Enumerate the sorted class-size multisets realizable by optimal colourings.
-
-    Walks all partitions of V(H) into exactly chi independent sets
-    (canonical class order breaks colour symmetry) and deduplicates at
-    the size-multiset level.
-    """
+    """Sorted class-size multisets of all optimal colourings, from the search that decides chi."""
     if h.n == 0:
         raise EmptyGraph("colouring profile of the empty graph")
     if h.n > MAX_PATTERN_ORDER:
         raise PatternTooLarge(f"pattern order {h.n} exceeds cap {MAX_PATTERN_ORDER}")
     chi = chromatic_number(h)
-    multisets: set[tuple[int, ...]] = set()
-    class_masks = [0] * chi
-    sizes = [0] * chi
-
-    def place(v: int, used: int) -> None:
-        if v == h.n:
-            if used == chi:
-                multisets.add(tuple(sorted(sizes)))
-            return
-        remaining = h.n - v
-        if used + remaining < chi:
-            return  # cannot open enough classes with the vertices left
-        limit = min(chi, used + 1)
-        for c in range(limit):
-            if h.adj[v] & class_masks[c]:
-                continue
-            class_masks[c] |= 1 << v
-            sizes[c] += 1
-            place(v + 1, max(used, c + 1))
-            class_masks[c] &= ~(1 << v)
-            sizes[c] -= 1
-
-    place(0, 0)
-    sigma = min(ms[0] for ms in multisets)
-    return ColouringProfile(chi, sigma, frozenset(multisets))
+    multisets = frozenset(_colourings(h, chi))
+    return ColouringProfile(chi, min(ms[0] for ms in multisets), multisets)
 
 
 def critical_chromatic_number(h: Graph) -> Fraction:

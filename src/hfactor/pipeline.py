@@ -73,7 +73,7 @@ class AuxiliaryGraph:
     j_graph: Graph
     left_classes: tuple[VertexSet, ...]
     right_class: VertexSet
-    back_map: tuple[tuple[int, ...], ...]
+    left_hosts: tuple[int, ...]  # host vertex of each left auxiliary vertex
 
 
 @dataclass
@@ -177,6 +177,8 @@ def find_sparse_sets(g: Graph, r: int, ladder: TauLadder) -> tuple[int, list[Ver
 
     q = 0 means no sparse structure was found (the non-extremal regime).
     """
+    if len(ladder.values) < r - 2:
+        raise BadParameter(f"ladder has {len(ladder.values)} levels, r = {r} needs {r - 2}")
     n = g.n
     size = sparse_class_size(r, n)
     for q in range(r - 2, 0, -1):
@@ -257,13 +259,11 @@ def build_auxiliary(
             )
     groups = [cp.vertices for cp in b1pack.copies]
     j_graph = Graph(n_j, contracted_adjacency(g, left_verts, groups))
-    back_map = [(v,) for v in left_verts]
-    back_map += groups
     lefts = tuple(
         VertexSet.from_iterable(range(s, e), n_j) for s, e in class_ranges
     )
     right = VertexSet.from_iterable(range(n_left, n_j), n_j)
-    return AuxiliaryGraph(j_graph, lefts, right, tuple(back_map))
+    return AuxiliaryGraph(j_graph, lefts, right, tuple(left_verts))
 
 
 def expand_packing(
@@ -285,19 +285,16 @@ def expand_packing(
     """
     s = r - q - 1
     pattern = kr_minus(r)
-    copy_by_right: dict[int, Copy] = {}
-    n_left = len(aux.back_map) - len(b1pack.copies)
-    for ci, cp in enumerate(b1pack.copies):
-        copy_by_right[n_left + ci] = cp
+    n_left = len(aux.left_hosts)
     out: list[Copy] = []
     for jcopy in jpack.copies:
         emb = jcopy.embedding
         groups = [list(emb[u * (r - 1) : (u + 1) * (r - 1)]) for u in range(q)]
-        host_groups = [[aux.back_map[v][0] for v in grp] for grp in groups]
+        host_groups = [[aux.left_hosts[v] for v in grp] for grp in groups]
         for grp in host_groups:
             grp.sort()
         apex = emb[q * (r - 1)]
-        b1copy = copy_by_right[apex]
+        b1copy = b1pack.copies[apex - n_left]
         # component host groups, via the remainder-pattern embedding
         comp_hosts: list[list[int]] = []
         pos = 0

@@ -49,7 +49,6 @@ class VertexClassification:
     ``exceptional[x]`` lists the classes x almost entirely misses.
     """
 
-    tau: Fraction
     class_sizes: list[int]
     class_of: list[int]
     cross_counts: list[list[int]]
@@ -147,9 +146,7 @@ def classify(g: Graph, p: Partition, tau: Fraction) -> VertexClassification:
     u_last = sum(1 for x in range(n) if class_of[x] == q and useless[x])
     if not le_power(u_last, tau_sq, sizes[q], 3):
         warnings.append(f"remainder class: {u_last} useless vertices exceeds soft bound")
-    return VertexClassification(
-        tau, sizes, class_of, cross, bad, useless, exceptional, warnings
-    )
+    return VertexClassification(sizes, class_of, cross, bad, useless, exceptional, warnings)
 
 
 def swap_bad_exceptional(g: Graph, p: Partition, c: VertexClassification) -> Partition:

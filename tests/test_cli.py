@@ -250,6 +250,7 @@ def test_cli_threshold_table(capsys):
             ["tidy", "--host", "{pattern}", "--sparse", "{bad}", "--r", "3", "--tau", "1/9"],
             '{"classes": "01"}',
         ),
+        (["pipeline", "--host", "{pattern}", "--r", "4", "--ladder", '["1/100"]'], None),
     ],
     ids=[
         "non-integer",
@@ -263,6 +264,7 @@ def test_cli_threshold_table(capsys):
         "sparse-not-an-object",
         "sparse-non-integer",
         "sparse-not-a-list",
+        "ladder-too-short",
     ],
 )
 def test_cli_bad_input_is_a_one_line_error(capsys, tmp_path, pattern_file, argv, text):

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfactor.constructions import kr_minus, kr_minus_threshold, remainder_pattern
+from hfactor.constructions import (
+    CanonicalSpec,
+    canonical_graph,
+    kr_minus,
+    kr_minus_extremal,
+    kr_minus_threshold,
+    remainder_pattern,
+)
 from hfactor.errors import PatternTooLarge
 from hfactor.generators import random_graph
 from hfactor.graphs import Graph, complete_graph, complete_multipartite, empty_graph
@@ -27,6 +34,18 @@ def test_chromatic_number_basics():
     assert chromatic_number(kr_minus(4)) == 3
     assert chromatic_number(empty_graph(5)) == 1
     assert chromatic_number(complete_graph(6)) == 6
+
+
+def test_chromatic_number_beyond_the_profile_cap():
+    assert chromatic_number(kr_minus_extremal(6, 10)) == 5  # n = 60
+    assert chromatic_number(canonical_graph(CanonicalSpec(5, 3, 60))) == 15
+
+
+@pytest.mark.parametrize("n", [1001, 5001])
+def test_chromatic_number_of_long_odd_cycles(n):
+    # the colouring search runs on an explicit stack, so depth n is fine
+    cycle = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    assert chromatic_number(cycle) == 3
 
 
 def test_colouring_profile_forced_classes():
@@ -132,6 +151,7 @@ def test_profile_matches_brute_force(seed):
     g = random_graph(2 + seed % 6, 0.5, seed)
     fast = colouring_profile(g)
     slow = brute_force_profile(g)
+    assert chromatic_number(g) == slow.chi
     assert (fast.chi, fast.sigma, fast.size_multisets) == (
         slow.chi,
         slow.sigma,

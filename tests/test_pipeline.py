@@ -43,6 +43,15 @@ def test_default_ladder_shape():
         TauLadder((Fraction(1, 2), Fraction(1, 3)))  # not increasing
 
 
+def test_find_sparse_sets_rejects_a_ladder_shorter_than_r_minus_2():
+    g = canonical_graph(CanonicalSpec(5, 2, 30))
+    short = TauLadder((Fraction(1, 100),))
+    with pytest.raises(BadParameter):
+        find_sparse_sets(g, 5, short)
+    with pytest.raises(BadParameter):
+        run_pipeline(g, 5, PipelineConfig(ladder=short))
+
+
 def test_find_sparse_sets_on_canonical_hosts():
     ladder = default_ladder(4)
     g = canonical_graph(CanonicalSpec(4, 2, 16))
