@@ -26,12 +26,7 @@ from .graphs import (
     write_edge_list,
 )
 from .hall import PackFailure, pack_apex_multipartite
-from .invariants import (
-    colouring_profile,
-    critical_chromatic_number,
-    hcf_report,
-    threshold_coefficient,
-)
+from .invariants import _coefficient_from, _critical_from, _hcf_from, colouring_profile
 from .solver import DEFAULT_BUDGET_SECS, SearchStats, find_perfect_packing, max_packing_size, verify_packing
 from .tidy import tidy
 
@@ -43,10 +38,10 @@ def _emit(data: dict) -> None:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     h = read_edge_list(args.pattern)
-    profile = colouring_profile(h)
-    report = hcf_report(h)
-    chi_cr = critical_chromatic_number(h) if profile.chi >= 2 else None
-    coeff = threshold_coefficient(h) if profile.chi >= 2 else None
+    profile = colouring_profile(h)  # one enumeration serves every invariant below
+    report = _hcf_from(h, profile)
+    chi_cr = _critical_from(h, profile) if profile.chi >= 2 else None
+    coeff = _coefficient_from(h, profile) if profile.chi >= 2 else None
     _emit(
         {
             "chi": profile.chi,

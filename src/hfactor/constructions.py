@@ -190,45 +190,50 @@ def canonical_partition(spec: CanonicalSpec) -> Partition:
     return Partition.from_lists(classes, spec.n)
 
 
+def split_bottle_block(parts: list[list[int]], small: list[int]) -> list[Copy]:
+    """Split a bottle block of K_r^- into r-2 copies.
+
+    The block has r-2 large parts of r-1 vertices and a small part of r-2.
+    Copy j takes small[j], the next two vertices of part j as its
+    nonadjacent pair (embedded first, in order) and the next vertex of
+    every other part; each part is consumed front to back.
+    """
+    taken = [0] * len(parts)
+    copies = []
+    for j, v in enumerate(small):
+        pair = sorted(parts[j][taken[j] : taken[j] + 2])
+        taken[j] += 2
+        rest = [v]
+        for i, part in enumerate(parts):
+            if i != j:
+                rest.append(part[taken[i]])
+                taken[i] += 1
+        emb = tuple(pair + sorted(rest))
+        copies.append(Copy(tuple(sorted(emb)), emb))
+    return copies
+
+
 def canonical_packing(spec: CanonicalSpec) -> Packing:
     """Constructive perfect packing of the canonical graph.
 
     Blocks of r(r-2) vertices are carved bottle-graph style: each block
     takes r-1 vertices from every sparse class and the rest from the
-    remainder class, then splits into r-2 copies where the j-th copy
-    doubles up in the j-th large part.
+    remainder class, as r-2-q more large parts and a small part of r-2,
+    then ``split_bottle_block`` splits it into r-2 copies.
     """
     r, q, n = spec.r, spec.q, spec.n
-    m = n // (r * (r - 2))
     sizes = spec.class_sizes()
-    starts = [sum(sizes[:i]) for i in range(len(sizes))]
-    cursors = list(starts)
+    cursors = [sum(sizes[:i]) for i in range(len(sizes))]
     copies: list[Copy] = []
-    for _ in range(m):
-        # large parts: the q sparse classes then r-2-q slices of the remainder
-        parts: list[list[int]] = []
-        for i in range(q):
+    for _ in range(n // (r * (r - 2))):
+        # slices of r-1 from each sparse class, then r-2-q more from the remainder
+        parts = []
+        for i in [*range(q)] + [q] * (r - 2 - q):
             parts.append(list(range(cursors[i], cursors[i] + r - 1)))
             cursors[i] += r - 1
-        for _ in range(r - 2 - q):
-            parts.append(list(range(cursors[q], cursors[q] + r - 1)))
-            cursors[q] += r - 1
         small = list(range(cursors[q], cursors[q] + r - 2))
         cursors[q] += r - 2
-        for j in range(r - 2):
-            chosen: list[int] = [small[j]]
-            pair_verts: list[int] = []
-            for idx, part in enumerate(parts):
-                if idx == j:
-                    pair_verts = sorted(part[:2])
-                    chosen.extend(part[:2])
-                    del part[:2]
-                else:
-                    chosen.append(part[0])
-                    del part[0]
-            rest = sorted(v for v in chosen if v not in pair_verts)
-            emb = tuple(pair_verts + rest)  # the doubled pair plays the nonadjacent slots
-            copies.append(Copy(tuple(sorted(chosen)), emb))
+        copies.extend(split_bottle_block(parts, small))
     return Packing(tuple(copies), n)
 
 
@@ -281,4 +286,5 @@ __all__ = [
     "remainder_pattern",
     "remainder_pattern_order",
     "sparse_class_size",
+    "split_bottle_block",
 ]

@@ -276,37 +276,24 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, [0] * n)
 
 
-def contracted_adjacency(
-    g: Graph, keep: Sequence[int], groups: Sequence[Iterable[int]]
-) -> list[int]:
-    """Adjacency of G[keep] plus one vertex per group, in the order given.
+def contract_groups(g: Graph, keep: int, groups: Iterable[Sequence[int]]) -> Graph:
+    """G[keep] with each group merged into its first vertex, in g's vertex order.
 
-    ``keep[i]`` becomes vertex i and ``groups[j]`` vertex len(keep) + j.
-    A group's vertex is adjacent to exactly the kept vertices that are
-    joined to every member of the group; groups are pairwise nonadjacent.
+    ``keep`` is a bitmask of kept vertices and the groups lie outside it.
+    A group's first vertex becomes adjacent to exactly the kept vertices
+    joined to every member of the group; groups are pairwise nonadjacent,
+    and every other vertex is left isolated.
     """
-    bit_of: dict[int, int] = {}
-    keep_bits = 0
-    for i, v in enumerate(keep):
-        bit_of[v] = 1 << i
-        keep_bits |= 1 << v
-
-    def local(mask: int) -> int:
-        row = 0
-        for w in bits_of(mask & keep_bits):
-            row |= bit_of[w]
-        return row
-
-    adj = [local(g.adj[v]) for v in keep]
+    adj = [row & keep if (keep >> v) & 1 else 0 for v, row in enumerate(g.adj)]
     for group in groups:
-        common = keep_bits
+        common = keep
         for v in group:
             common &= g.adj[v]
-        adj.append(local(common))
-    for j in range(len(keep), len(adj)):
-        for i in bits_of(adj[j]):
-            adj[i] |= 1 << j
-    return adj
+        head = group[0]
+        adj[head] = common
+        for v in bits_of(common):
+            adj[v] |= 1 << head
+    return Graph(g.n, adj)
 
 
 def induced(g: Graph, a: VertexSet) -> Graph:
@@ -314,8 +301,15 @@ def induced(g: Graph, a: VertexSet) -> Graph:
     verts = a.to_list()
     if not verts:
         raise DegenerateSet("induced subgraph of the empty set")
+    bit_of = {v: 1 << i for i, v in enumerate(verts)}
+    adj = []
+    for v in verts:
+        row = 0
+        for w in bits_of(g.adj[v] & a.bits):
+            row |= bit_of[w]
+        adj.append(row)
     labels = [g.labels[v] for v in verts] if g.labels is not None else None
-    return Graph(len(verts), contracted_adjacency(g, verts, ()), labels, origin=verts)
+    return Graph(len(verts), adj, labels, origin=verts)
 
 
 def disjoint_union(parts: Sequence[Graph]) -> Graph:

@@ -1,11 +1,12 @@
 """Perfect packings of almost-complete multipartite graphs by star matchings.
 
-The constructive recursion: match the last class's vertices to disjoint
-r-sets of the second-to-last class (a perfect matching in the r-fold
-blow-up, found by augmenting paths), contract each star to a single
-vertex whose neighbours are the vertices adjacent to the whole star,
-and recurse with one class fewer. Failures are exact: a failed level
-yields a Hall-violating witness set.
+The constructive loop, one level per class: match the apex class's
+vertices to disjoint r-sets of the next class down (a perfect matching
+in the r-fold blow-up, found by augmenting paths), then merge each star
+into its centre, adjacent to the vertices adjacent to the whole star.
+Contraction is in place, so every level's graph keeps the host's vertex
+order and every index, witnesses included, is a host vertex. Failures
+are exact: a failed level yields a Hall-violating witness set.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParameter
-from .graphs import Graph, Partition, VertexSet, bits_of, contracted_adjacency
+from .graphs import Graph, Partition, VertexSet, bits_of, contract_groups
 from .solver import Copy, Packing
 
 
@@ -162,90 +163,56 @@ def _hall_witness(
     return witness
 
 
-def contract_stars(g: Graph, sp: StarPacking, rest: list[VertexSet]) -> tuple[Graph, list[tuple[int, ...]]]:
-    """Replace each star by a single vertex adjacent to exactly the vertices
-    adjacent to the whole star; `rest` classes keep their induced adjacency.
+def contract_stars(g: Graph, sp: StarPacking, rest: list[VertexSet]) -> Graph:
+    """Merge each star into its centre, adjacent to exactly the `rest`
+    vertices adjacent to the whole star; `rest` classes keep their induced
+    adjacency and every other vertex is left isolated.
 
-    Returns the contracted graph, which carries no class labels, and a back
-    map from its vertices to host vertex tuples (singletons for untouched
-    vertices, then one sorted tuple per star).
+    The contracted graph keeps g's order and carries no class labels.
     """
-    rest_bits = 0
+    keep = 0
     for c in rest:
-        rest_bits |= c.bits
-    rest_verts = list(bits_of(rest_bits))
-    stars = [tuple(sorted((c,) + ls)) for c, ls in sorted(sp.stars)]
-    adj = contracted_adjacency(g, rest_verts, stars)
-    back_map = [(v,) for v in rest_verts] + stars
-    return Graph(len(adj), adj), back_map
+        keep |= c.bits
+    return contract_groups(g, keep, [(c,) + leaves for c, leaves in sp.stars])
 
 
 def pack_apex_multipartite(g: Graph, classes: Partition, q: int, r: int) -> Packing | PackFailure:
     """Perfect packing of a (q+1)-partite host by apex multipartite copies.
 
-    Classes 0..q-1 must have size k*r and class q size k. The recursion
-    needs no adjacency hypothesis checked up front: it succeeds whenever
-    every level's star matching exists (``default_tolerance`` bounds the
-    misses under which that is guaranteed), and a level that has none
-    returns a PackFailure with its Hall witness, so the outcome is exact.
+    Classes 0..q-1 must have size k*r and class q size k. Levels run from
+    q down to 1: level i star-packs class i-1 onto the apex class q, and
+    merges each star into its centre, so each apex vertex collects r
+    leaves per class. The loop needs no adjacency hypothesis checked up
+    front: it succeeds whenever every level's star matching exists
+    (``default_tolerance`` bounds the misses under which that is
+    guaranteed), and a level that has none returns a PackFailure with its
+    Hall witness, in host vertices, so the outcome is exact.
     """
+    if q < 1 or r < 1:
+        raise BadParameter(f"need q >= 1 and r >= 1, got q={q}, r={r}")
     if len(classes) != q + 1:
         raise BadParameter(f"expected {q + 1} classes, got {len(classes)}")
-    k = len(classes[q])
+    apex = classes[q]
+    k = len(apex)
     for i in range(q):
         if len(classes[i]) != k * r:
             raise BadParameter(
                 f"class {i} has {len(classes[i])} vertices, expected k*r = {k * r}"
             )
-    copies_classes = _pack_levels(g, list(classes.classes), q, r)
-    if isinstance(copies_classes, PackFailure):
-        return copies_classes
+    collected: dict[int, list[int]] = {c: [] for c in apex}  # leaves, class 0 first
+    for level in range(q, 0, -1):
+        result = star_pack(g, classes[level - 1], apex, r)
+        if isinstance(result, HallWitness):
+            return PackFailure(level, result)
+        for centre, leaves in result.stars:
+            collected[centre][:0] = leaves
+        if level > 1:  # in place, so g keeps its order and g.n
+            g = contract_stars(g, result, list(classes.classes[: level - 1]))
     out = []
-    for parts in copies_classes:
-        emb: list[int] = []
-        for class_verts in parts[:-1]:
-            emb.extend(sorted(class_verts))
-        emb.append(parts[-1][0])
-        out.append(Copy(tuple(sorted(emb)), tuple(emb)))
+    for centre, leaves in collected.items():
+        emb = tuple(leaves) + (centre,)
+        out.append(Copy(tuple(sorted(emb)), emb))
     return Packing(tuple(out), g.n)
-
-
-def _pack_levels(
-    g: Graph, classes: list[VertexSet], q: int, r: int
-) -> list[list[tuple[int, ...]]] | PackFailure:
-    """Recursive core; returns per-copy class groups as host-vertex tuples."""
-    result = star_pack(g, classes[q - 1], classes[q], r)
-    if isinstance(result, HallWitness):
-        return PackFailure(q, result)
-    if q == 1:
-        return [[leaves, (center,)] for center, leaves in result.stars]
-    contracted, back_map = contract_stars(g, result, classes[: q - 1])
-    # rest vertices occupy contracted indices in ascending host order
-    host_to_sub = {
-        bm[0]: i for i, bm in enumerate(back_map) if len(bm) == 1
-    }
-    n_rest = len(host_to_sub)
-    sub_classes = [
-        VertexSet.from_iterable((host_to_sub[v] for v in c), contracted.n)
-        for c in classes[: q - 1]
-    ]
-    sub_classes.append(VertexSet.from_iterable(range(n_rest, contracted.n), contracted.n))
-    sub = _pack_levels(contracted, sub_classes, q - 1, r)
-    if isinstance(sub, PackFailure):
-        return sub
-    star_of = {}
-    for ci, (center, leaves) in enumerate(sorted(result.stars)):
-        star_of[n_rest + ci] = (center, leaves)
-    out = []
-    for parts in sub:
-        host_parts = []
-        for group in parts[:-1]:
-            host_parts.append(tuple(back_map[v][0] for v in group))
-        center, leaves = star_of[parts[-1][0]]
-        host_parts.append(leaves)
-        host_parts.append((center,))
-        out.append(host_parts)
-    return out
 
 
 __all__ = [

@@ -6,7 +6,8 @@ multisets of all optimal colourings; from these the module derives
 the critical chromatic number, the consecutive-difference set and the
 combined divisibility condition that decides which degree threshold
 (critical-chromatic or chromatic) governs perfect packings of the
-pattern.
+pattern. Each public function enumerates the profile once; the private
+``_*_from`` helpers derive from a profile already in hand.
 """
 
 from __future__ import annotations
@@ -139,7 +140,10 @@ def colouring_profile(h: Graph) -> ColouringProfile:
 
 def critical_chromatic_number(h: Graph) -> Fraction:
     """(chi - 1) |H| / (|H| - sigma), exact."""
-    profile = colouring_profile(h)
+    return _critical_from(h, colouring_profile(h))
+
+
+def _critical_from(h: Graph, profile: ColouringProfile) -> Fraction:
     if profile.chi < 2:
         raise DegenerateSet("critical chromatic number needs chi >= 2")
     return Fraction((profile.chi - 1) * h.n, h.n - profile.sigma)
@@ -174,7 +178,10 @@ def hcf_report(h: Graph) -> HcfReport:
     bipartite patterns the flag additionally requires component orders
     with gcd one.
     """
-    profile = colouring_profile(h)
+    return _hcf_from(h, colouring_profile(h))
+
+
+def _hcf_from(h: Graph, profile: ColouringProfile) -> HcfReport:
     d_set: set[int] = set()
     for ms in profile.size_multisets:
         for i in range(len(ms) - 1):
@@ -195,10 +202,12 @@ def threshold_coefficient(h: Graph) -> Fraction:
     1 - 1/chi_cr(H) when the divisibility flag holds, else 1 - 1/chi(H).
     The additive constant of the threshold is not computed.
     """
-    report = hcf_report(h)
-    if report.hcf_is_one:
-        return 1 - 1 / critical_chromatic_number(h)
-    profile = colouring_profile(h)
+    return _coefficient_from(h, colouring_profile(h))
+
+
+def _coefficient_from(h: Graph, profile: ColouringProfile) -> Fraction:
+    if _hcf_from(h, profile).hcf_is_one:
+        return 1 - 1 / _critical_from(h, profile)
     if profile.chi < 2:
         raise DegenerateSet("threshold coefficient needs chi >= 2")
     return Fraction(profile.chi - 1, profile.chi)

@@ -4,12 +4,13 @@ The path for a host G of order divisible by r: find the largest number q
 of disjoint near-independent classes of the canonical size; tidy them
 into a canonical core; pack the core's remainder class with remainder
 patterns (an exact-solver stage standing in for the asymptotic
-machinery); contract each packed pattern to a single vertex of an
-auxiliary graph and pack that with apex multipartite copies via the Hall
-packer; expand back into clique-minus-an-edge copies and merge with
-everything removed during tidying. Any intermediate dead end falls back
-to the direct exact solver on the whole host, so the final decision is
-always exact.
+machinery); merge each packed pattern into its least vertex, giving an
+auxiliary graph in the host's own vertex order, and pack that with apex
+multipartite copies via the Hall packer; split each copy and its
+remainder pattern, as one bottle block, into clique-minus-an-edge copies
+and merge with everything removed during tidying. Any intermediate dead
+end falls back to the direct exact solver on the whole host, so the
+final decision is always exact.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .constructions import (
     remainder_pattern,
     remainder_pattern_order,
     sparse_class_size,
+    split_bottle_block,
 )
 from .errors import BadParameter, InternalError, Stuck, Timeout
-from .graphs import Graph, Partition, VertexSet, bits_of, contracted_adjacency, edges_within, induced
+from .graphs import Graph, Partition, VertexSet, bits_of, contract_groups, edges_within, induced
 from .hall import PackFailure, pack_apex_multipartite
 from .solver import DEFAULT_BUDGET_SECS, Copy, Packing, find_perfect_packing, packing_defect
 from .tidy import TidyResult, tidy
@@ -65,15 +67,15 @@ def default_ladder(r: int) -> TauLadder:
 class AuxiliaryGraph:
     """Contraction of a remainder-class packing against the sparse classes.
 
-    A sparse-class vertex is adjacent to a packed-copy vertex exactly
-    when the host joins it to every vertex of that copy; sparse-sparse
-    adjacency is inherited.
+    Each packed copy is merged into its least vertex, and a sparse-class
+    vertex is adjacent to it exactly when the host joins it to every
+    vertex of that copy; sparse-sparse adjacency is inherited. The graph
+    keeps the host's order, so every vertex is a host vertex.
     """
 
     j_graph: Graph
     left_classes: tuple[VertexSet, ...]
     right_class: VertexSet
-    left_hosts: tuple[int, ...]  # host vertex of each left auxiliary vertex
 
 
 @dataclass
@@ -243,27 +245,17 @@ def pack_remainder_class(
 def build_auxiliary(
     g: Graph, sparse_classes: list[VertexSet], b1pack: Packing, r: int
 ) -> AuxiliaryGraph:
-    """Auxiliary graph: sparse-class vertices plus one vertex per packed copy."""
-    left_verts: list[int] = []
-    class_ranges: list[tuple[int, int]] = []
+    """Auxiliary graph: the sparse classes plus each packed copy's least vertex."""
+    keep = 0
     for c in sparse_classes:
-        start = len(left_verts)
-        left_verts.extend(c.to_list())
-        class_ranges.append((start, len(left_verts)))
-    n_left = len(left_verts)
-    n_j = n_left + len(b1pack.copies)
-    for start, end in class_ranges:
-        if end - start != (r - 1) * len(b1pack.copies):
+        if len(c) != (r - 1) * len(b1pack.copies):
             raise InternalError(
-                f"auxiliary class size {end - start} != (r-1) * {len(b1pack.copies)}"
+                f"auxiliary class size {len(c)} != (r-1) * {len(b1pack.copies)}"
             )
+        keep |= c.bits
     groups = [cp.vertices for cp in b1pack.copies]
-    j_graph = Graph(n_j, contracted_adjacency(g, left_verts, groups))
-    lefts = tuple(
-        VertexSet.from_iterable(range(s, e), n_j) for s, e in class_ranges
-    )
-    right = VertexSet.from_iterable(range(n_left, n_j), n_j)
-    return AuxiliaryGraph(j_graph, lefts, right, tuple(left_verts))
+    right = VertexSet.from_iterable((group[0] for group in groups), g.n)
+    return AuxiliaryGraph(contract_groups(g, keep, groups), tuple(sparse_classes), right)
 
 
 def expand_packing(
@@ -277,60 +269,29 @@ def expand_packing(
     """Expand apex-multipartite copies of the auxiliary graph into r-2
     clique-minus-an-edge copies each.
 
-    Component t of the remainder pattern (a clique when t < q) takes two
-    host vertices from sparse class t and one from every other class;
-    each clique-minus-an-edge component takes one vertex per class. Every
-    adjacency this relies on is guaranteed by the auxiliary edge
-    semantics; a violation raises InternalError.
+    An auxiliary copy and its apex's remainder copy make one bottle block:
+    its r-1 vertices in each sparse class are large parts, the remainder
+    copy's pattern classes (``remainder_pattern(r, q).labels``) give the
+    small part (class 0) and the other large parts, and
+    ``split_bottle_block`` splits it along the remainder pattern's
+    components. Every adjacency this relies on is guaranteed by the
+    auxiliary edge semantics; a violation raises InternalError.
     """
-    s = r - q - 1
     pattern = kr_minus(r)
-    n_left = len(aux.left_hosts)
+    labels = remainder_pattern(r, q).labels
+    b1_of = {cp.vertices[0]: cp for cp in b1pack.copies}
     out: list[Copy] = []
     for jcopy in jpack.copies:
         emb = jcopy.embedding
-        groups = [list(emb[u * (r - 1) : (u + 1) * (r - 1)]) for u in range(q)]
-        host_groups = [[aux.left_hosts[v] for v in grp] for grp in groups]
-        for grp in host_groups:
-            grp.sort()
-        apex = emb[q * (r - 1)]
-        b1copy = b1pack.copies[apex - n_left]
-        # component host groups, via the remainder-pattern embedding
-        comp_hosts: list[list[int]] = []
-        pos = 0
-        for _ in range(q):
-            comp_hosts.append([b1copy.embedding[pos + i] for i in range(s)])
-            pos += s
-        minus_pairs: list[tuple[int, int]] = []
-        for _ in range(r - q - 2):
-            comp = [b1copy.embedding[pos + i] for i in range(s + 1)]
-            comp_hosts.append(comp)
-            minus_pairs.append((comp[0], comp[1]))
-            pos += s + 1
-        queues = [list(grp) for grp in host_groups]
-        for t, comp in enumerate(comp_hosts):
-            chosen = list(comp)
-            pair: tuple[int, int] | None = None
-            if t < q:
-                a, b = queues[t].pop(0), queues[t].pop(0)
-                chosen.extend([a, b])
-                pair = (min(a, b), max(a, b))
-                for u in range(q):
-                    if u != t:
-                        chosen.append(queues[u].pop(0))
-            else:
-                pair = minus_pairs[t - q]
-                for u in range(q):
-                    chosen.append(queues[u].pop(0))
-            rest = sorted(v for v in chosen if v not in pair)
-            emb_out = (pair[0], pair[1]) + tuple(rest)
-            kcopy = Copy(tuple(sorted(chosen)), emb_out)
+        sparse_parts = [sorted(v for v in emb if v in c) for c in aux.left_classes]
+        by_label: list[list[int]] = [[] for _ in range(r - q - 1)]
+        for label, v in zip(labels, b1_of[emb[-1]].embedding):
+            by_label[label].append(v)
+        for kcopy in split_bottle_block(sparse_parts + by_label[1:], by_label[0]):
             defect = packing_defect(pattern, g, Packing((kcopy,), g.n))
             if defect is not None:
                 raise InternalError(f"expansion produced an invalid copy: {defect}")
             out.append(kcopy)
-        if any(queues[u] for u in range(q)):
-            raise InternalError("expansion left class vertices unconsumed")
     return out
 
 

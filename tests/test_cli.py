@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -57,6 +58,28 @@ def test_cli_invariants_infinite_hcf(capsys, tmp_path):
     code, data = _run(capsys, ["invariants", str(path)])
     assert code == 0
     assert data["hcf_chi"] == "infinity"
+
+
+def test_invariants_enumerate_the_colourings_once_per_call(capsys, monkeypatch, tmp_path):
+    from hfactor import cli, invariants
+
+    calls = []
+    profile = invariants.colouring_profile
+
+    def counting(h):
+        calls.append(h)
+        return profile(h)
+
+    monkeypatch.setattr(invariants, "colouring_profile", counting)
+    monkeypatch.setattr(cli, "colouring_profile", counting)
+    h = remainder_pattern(6, 1)
+    assert invariants.threshold_coefficient(h) == Fraction(14, 19)
+    assert len(calls) == 1
+    path = tmp_path / "rem.txt"
+    write_edge_list(h, path)
+    code, data = _run(capsys, ["invariants", str(path)])
+    assert code == 0 and data["threshold_coefficient"] == "14/19"
+    assert len(calls) == 2
 
 
 def test_cli_pack_decision(capsys, pattern_file, host_file):
@@ -251,6 +274,10 @@ def test_cli_threshold_table(capsys):
             '{"classes": "01"}',
         ),
         (["pipeline", "--host", "{pattern}", "--r", "4", "--ladder", '["1/100"]'], None),
+        (
+            ["hallpack", "--host", "{pattern}", "--classes", "{bad}", "--q", "0", "--r", "1"],
+            '{"classes": [[0, 1, 2, 3]]}',
+        ),
     ],
     ids=[
         "non-integer",
@@ -265,6 +292,7 @@ def test_cli_threshold_table(capsys):
         "sparse-non-integer",
         "sparse-not-a-list",
         "ladder-too-short",
+        "hallpack-q-zero",
     ],
 )
 def test_cli_bad_input_is_a_one_line_error(capsys, tmp_path, pattern_file, argv, text):

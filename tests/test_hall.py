@@ -86,14 +86,16 @@ def test_contract_stars_complete_host():
     g = complete_multipartite([6, 6, 2])
     part = Partition.from_lists([range(6), range(6, 12), range(12, 14)], 14)
     sp = star_pack(g, part[1], part[2], 3)
-    contracted, back_map = contract_stars(g, sp, [part[0]])
-    assert contracted.n == 6 + 2
+    contracted = contract_stars(g, sp, [part[0]])
+    # each star is merged into its centre; the host's order is kept
+    assert contracted.n == 14
+    assert sorted(c for c, _ in sp.stars) == [12, 13]
     # complete host stays complete towards the contracted vertices
     for i in range(6):
-        for j in range(6, 8):
+        for j in range(12, 14):
             assert contracted.has_edge(i, j)
-    assert all(len(back_map[i]) == 1 for i in range(6))
-    assert all(len(back_map[j]) == 4 for j in range(6, 8))
+    assert all(contracted.degree(i) == 2 for i in range(6))
+    assert all(contracted.degree(v) == 0 for v in range(6, 12))
 
 
 def test_contract_stars_misses_propagate():
@@ -102,12 +104,9 @@ def test_contract_stars_misses_propagate():
     sp = star_pack(g, part[1], part[2], 3)
     center, leaves = sp.stars[0]
     g2 = g.drop_edges([(0, leaves[0])])
-    contracted, back_map = contract_stars(g2, sp, [part[0]])
-    star_vertex = next(
-        j for j in range(6, 8) if set(back_map[j]) == set((center,) + leaves)
-    )
-    assert not contracted.has_edge(0, star_vertex)
-    other = 6 if star_vertex == 7 else 7
+    contracted = contract_stars(g2, sp, [part[0]])
+    assert not contracted.has_edge(0, center)
+    other = 12 if center == 13 else 13
     assert contracted.has_edge(0, other)
 
 
@@ -143,6 +142,26 @@ def test_pack_apex_reports_failing_level():
     assert res.witness.violation()[0] > res.witness.violation()[1]
 
 
+def test_pack_apex_witness_below_level_q_is_in_host_vertices():
+    # apex 18 sees all of class 1 but only {7, 8} of class 0, so its star
+    # (merged into 18) fails at level 1
+    g = complete_multipartite([9, 9, 3]).drop_edges([(18, v) for v in range(7)])
+    part = Partition.from_lists([range(9), range(9, 18), range(18, 21)], 21)
+    res = pack_apex_multipartite(g, part, 2, 3)
+    assert isinstance(res, PackFailure)
+    assert res.level == 1
+    assert res.witness.centers == (18,)
+    assert res.witness.neighborhood == (7, 8)
+
+
+def test_pack_apex_rejects_q_or_r_below_one():
+    g = complete_multipartite([4])
+    with pytest.raises(BadParameter):
+        pack_apex_multipartite(g, Partition.from_lists([range(4)], 4), 0, 1)
+    with pytest.raises(BadParameter):
+        pack_apex_multipartite(g, Partition.from_lists([[], [0]], 4), 1, 0)
+
+
 def test_default_tolerance_ladder():
     assert default_tolerance(1, 3) == Fraction(1, 2)
     assert default_tolerance(2, 3) == Fraction(1, 8)
@@ -158,19 +177,13 @@ def test_contract_stars_union_bound_on_misses():
         g, part = hypothesis_deleted_multipartite([k * r] * q + [k], band / 2, band, seed)
         sp = star_pack(g, part[q - 1], part[q], r)
         assert isinstance(sp, StarPacking)
-        contracted, back_map = contract_stars(g, sp, list(part.classes[: q - 1]))
-        n_rest = sum(len(c) for c in part.classes[: q - 1])
-        for i, bm in enumerate(back_map[:n_rest]):
-            (v,) = bm
+        contracted = contract_stars(g, sp, list(part.classes[: q - 1]))
+        for v in (w for c in part.classes[: q - 1] for w in c):
             host_misses = sum(
                 1
                 for cls in (part[q - 1], part[q])
                 for w in cls
                 if not g.has_edge(v, w)
             )
-            contracted_misses = sum(
-                1
-                for j in range(n_rest, contracted.n)
-                if not contracted.has_edge(i, j)
-            )
+            contracted_misses = sum(1 for c in part[q] if not contracted.has_edge(v, c))
             assert contracted_misses <= host_misses

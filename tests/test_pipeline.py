@@ -18,19 +18,20 @@ from hfactor.constructions import (
 )
 from hfactor.errors import BadParameter, Timeout
 from hfactor.generators import noisy_canonical, planted_sparse_graph, random_graph
-from hfactor.graphs import Graph, VertexSet, bits_of, complete_graph
-from hfactor.hall import HallWitness, PackFailure
+from hfactor.graphs import Graph, Partition, VertexSet, bits_of, complete_graph
+from hfactor.hall import HallWitness, PackFailure, pack_apex_multipartite
 from hfactor.pipeline import (
     PipelineConfig,
     TauLadder,
     build_auxiliary,
     default_ladder,
+    expand_packing,
     find_sparse_sets,
     pack_remainder_class,
     run_pipeline,
     threshold_table,
 )
-from hfactor.solver import find_perfect_packing, verify_packing
+from hfactor.solver import Copy, Packing, find_perfect_packing, verify_packing
 
 
 def test_default_ladder_shape():
@@ -156,18 +157,21 @@ def test_build_auxiliary_edge_semantics():
     part = canonical_partition(spec)
     b1pack = pack_remainder_class(g, part[1], 4, 1)
     aux = build_auxiliary(g, [part[0]], b1pack, 4)
-    assert aux.j_graph.n == 6 + 2
+    # each copy is merged into its least vertex; the host's order is kept
+    assert aux.j_graph.n == 16
+    heads = [cp.vertices[0] for cp in b1pack.copies]
+    assert aux.right_class.to_list() == heads
+    assert aux.left_classes == (part[0],)
     # complete host: every sparse vertex joined to every copy vertex
     for a in range(6):
-        for x in range(6, 8):
+        for x in heads:
             assert aux.j_graph.has_edge(a, x)
     # drop one host edge into the first copy: that auxiliary edge must vanish
-    target = b1pack.copies[0].vertices[0]
+    target = b1pack.copies[0].vertices[-1]
     g2 = g.drop_edges([(0, target)])
     aux2 = build_auxiliary(g2, [part[0]], b1pack, 4)
-    first_copy_vertex = 6
-    assert not aux2.j_graph.has_edge(0, first_copy_vertex)
-    assert aux2.j_graph.has_edge(0, 7)
+    assert not aux2.j_graph.has_edge(0, heads[0])
+    assert aux2.j_graph.has_edge(0, heads[1])
 
 
 @pytest.mark.parametrize(
@@ -185,6 +189,40 @@ def test_pipeline_succeeds_on_structured_hosts(make):
     res = run_pipeline(g, 4)
     assert res.decision and res.path == "pipeline"
     assert verify_packing(kr_minus(4), g, res.packing, require_perfect=True)
+
+
+@pytest.mark.parametrize("r,q,n", [(5, 1, 15), (6, 1, 24), (6, 2, 24), (7, 2, 35)])
+def test_pipeline_expands_remainder_copies_with_kr_minus_components(r, q, n):
+    # q < r - 2: each remainder copy holds r - q - 2 >= 1 clique-minus-an-edge
+    # components, so expansion splits blocks with remainder large parts
+    g = canonical_graph(CanonicalSpec(r, q, n))
+    perm = list(range(n))
+    random.Random(n + q).shuffle(perm)
+    g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+    res = run_pipeline(g, r)
+    assert res.decision and res.path == "pipeline"
+    assert verify_packing(kr_minus(r), g, res.packing, require_perfect=True)
+
+
+@pytest.mark.parametrize("r", [4, 5, 6, 7])
+def test_expand_packing_keeps_each_copy_within_one_remainder_component(r):
+    # one bottle block whose remainder part carries only the remainder
+    # pattern's own edges: every expanded copy must take its remainder
+    # vertices from a single component of the pattern
+    for q in range(1, r - 1):
+        pattern = remainder_pattern(r, q)
+        m, n = pattern.n, pattern.n + q * (r - 1)
+        sparse = [range(m + i * (r - 1), m + (i + 1) * (r - 1)) for i in range(q)]
+        edges = list(pattern.edges())
+        edges += [(u, v) for part in sparse for u in part for v in range(n) if v not in part]
+        g = Graph.from_edges(n, edges)
+        b1pack = Packing((Copy(tuple(range(m)), tuple(range(m))),), n)
+        classes = [VertexSet.from_iterable(part, n) for part in sparse]
+        aux = build_auxiliary(g, classes, b1pack, r)
+        apex_classes = Partition(aux.left_classes + (aux.right_class,), aux.j_graph.n)
+        jpack = pack_apex_multipartite(aux.j_graph, apex_classes, q, r - 1)
+        copies = expand_packing(aux, jpack, b1pack, r, q, g)
+        assert verify_packing(kr_minus(r), g, Packing(tuple(copies), n), require_perfect=True)
 
 
 def test_pipeline_answers_a_thousand_vertex_host_within_budget():
@@ -314,10 +352,9 @@ def test_auxiliary_misses_bounded_by_host_misses():
     b1pack = pack_remainder_class(g, part[1], 4, 1)
     assert b1pack is not None
     aux = build_auxiliary(g, [part[0]], b1pack, 4)
-    sparse = part[0].to_list()
-    for a, v in enumerate(sparse):
+    for v in part[0]:
         host_misses = sum(1 for w in part[1] if not g.has_edge(v, w))
         j_misses = sum(
-            1 for x in aux.right_class if not aux.j_graph.has_edge(a, x)
+            1 for x in aux.right_class if not aux.j_graph.has_edge(v, x)
         )
         assert j_misses <= host_misses
