@@ -67,7 +67,6 @@ from .invariants import (
     threshold_coefficient,
 )
 from .pipeline import (
-    AuxiliaryGraph,
     PipelineConfig,
     PipelineResult,
     TauLadder,

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import constructions, generators, pipeline
-from .errors import HFactorError, Timeout
+from .errors import BadParameter, HFactorError, Timeout
 from .graphs import (
     Partition,
     VertexSet,
@@ -90,6 +90,8 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     kind = args.kind
+    if kind in ("bottle", "extremal-multi") and args.pattern is None:
+        raise BadParameter(f"construct {kind} needs --pattern")
     if kind == "krminus":
         g = constructions.kr_minus(args.r)
     elif kind == "bottle":

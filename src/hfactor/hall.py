@@ -6,7 +6,8 @@ in the r-fold blow-up, found by augmenting paths), then merge each star
 into its centre, adjacent to the vertices adjacent to the whole star.
 Contraction is in place, so every level's graph keeps the host's vertex
 order and every index, witnesses included, is a host vertex. Failures
-are exact: a failed level yields a Hall-violating witness set.
+are exact: the augmenting search that fails at a level has visited the
+neighbourhood of a Hall-violating centre set, and that set is returned.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParameter
+from .errors import BadParameter, InternalError
 from .graphs import Graph, Partition, VertexSet, bits_of, contract_groups
 from .solver import Copy, Packing
 
@@ -62,32 +63,33 @@ def star_pack(g: Graph, big: VertexSet, small: VertexSet, r: int) -> StarPacking
     """Perfect star packing with centres in `small` and r leaves each in `big`.
 
     Runs a maximum matching on the r-fold blow-up of the centres via
-    augmenting paths, searched on an explicit stack; when no perfect
-    matching exists the returned witness is a centre set S with
-    |N(S) & big| < r |S|.
+    augmenting paths, searched on an explicit stack. When a search fails
+    it has visited every leaf alternating paths reach from its slot, and
+    each of them is matched: the witness is the root's centre plus the
+    centres owning those leaves, whose neighbourhood in `big` is exactly
+    the visited leaves, so |N(S) & big| < r |S|.
     """
     centers = small.to_list()
-    leaves = big.to_list()
-    if len(leaves) != r * len(centers):
-        raise BadParameter(f"|big| = {len(leaves)} != r |small| = {r * len(centers)}")
+    if len(big) != r * len(centers):
+        raise BadParameter(f"|big| = {len(big)} != r |small| = {r * len(centers)}")
     n_slots = r * len(centers)
     slot_center = [centers[i // r] for i in range(n_slots)]
     slot_adj = [g.adj[c] & big.bits for c in slot_center]
-    leaf_index = {v: i for i, v in enumerate(leaves)}
 
-    match_of_slot: list[int | None] = [None] * n_slots
-    match_of_leaf: list[int | None] = [None] * len(leaves)
+    match_of_slot = [-1] * n_slots  # leaf of each slot
+    match_of_leaf = [-1] * g.n  # slot of each leaf
 
-    def augment(root: int) -> bool:
+    def augment(root: int) -> int | None:
         """Depth-first augmenting path from root on an explicit stack.
 
         Each slot on the path tries its unvisited leaves in ascending
-        order; a leaf is visited at most once per root.
+        order; a leaf is visited at most once per root. None once the
+        path is found and flipped, else the mask of visited leaves.
         """
         visited = 0
         path = [root]  # slots on the current alternating path
         untried = [slot_adj[root]]  # their leaves not yet tried
-        taken: list[int] = []  # leaf index each slot but the last is trying
+        taken: list[int] = []  # leaf each slot but the last is trying
         while path:
             cands = untried[-1] & ~visited
             if not cands:
@@ -99,68 +101,30 @@ def star_pack(g: Graph, big: VertexSet, small: VertexSet, r: int) -> StarPacking
             low = cands & -cands
             visited |= low
             untried[-1] = cands ^ low
-            li = leaf_index[low.bit_length() - 1]
-            taken.append(li)
-            owner = match_of_leaf[li]
-            if owner is None:
-                for slot, leaf in zip(path, taken):
-                    match_of_leaf[leaf] = slot
-                    match_of_slot[slot] = leaf
-                return True
+            leaf = low.bit_length() - 1
+            taken.append(leaf)
+            owner = match_of_leaf[leaf]
+            if owner < 0:
+                for slot, v in zip(path, taken):
+                    match_of_leaf[v] = slot
+                    match_of_slot[slot] = v
+                return None
             path.append(owner)
             untried.append(slot_adj[owner])
-        return False
+        return visited
 
     for slot in range(n_slots):
-        if not augment(slot):
-            return _hall_witness(
-                slot, slot_center, slot_adj, leaf_index, leaves, match_of_slot, match_of_leaf, r
-            )
-    stars = []
-    for ci, c in enumerate(centers):
-        star_leaves = tuple(sorted(leaves[match_of_slot[ci * r + j]] for j in range(r)))
-        stars.append((c, star_leaves))
-    return StarPacking(tuple(stars))
-
-
-def _hall_witness(
-    root_slot: int,
-    slot_center: list[int],
-    slot_adj: list[int],
-    leaf_index: dict[int, int],
-    leaves: list[int],
-    match_of_slot: list[int | None],
-    match_of_leaf: list[int | None],
-    r: int,
-) -> HallWitness:
-    """Alternating-reachability closure from an unmatched slot, closed over
-    sibling slots (same centre, same neighbourhood)."""
-    seen_centers = {slot_center[root_slot]}
-    seen_leaves: set[int] = set()
-    frontier = [root_slot]
-    while frontier:
-        nxt: list[int] = []
-        for slot in frontier:
-            for v in bits_of(slot_adj[slot]):
-                li = leaf_index[v]
-                if li in seen_leaves:
-                    continue
-                seen_leaves.add(li)
-                back = match_of_leaf[li]
-                if back is not None and slot_center[back] not in seen_centers:
-                    seen_centers.add(slot_center[back])
-                    nxt.append(back)
-        # all slots of a newly seen centre share its adjacency; one suffices
-        frontier = nxt
-    witness = HallWitness(
-        tuple(sorted(seen_centers)),
-        tuple(sorted(leaves[li] for li in seen_leaves)),
-        r,
-    )
-    demand, supply = witness.violation()
-    if demand <= supply:
-        raise AssertionError("witness fails to violate the Hall condition")
-    return witness
+        visited = augment(slot)
+        if visited is not None:
+            reached = {slot_center[slot]}
+            reached.update(slot_center[match_of_leaf[v]] for v in bits_of(visited))
+            witness = HallWitness(tuple(sorted(reached)), tuple(bits_of(visited)), r)
+            demand, supply = witness.violation()
+            if demand <= supply:
+                raise InternalError("witness fails to violate the Hall condition")
+            return witness
+    stars = (tuple(sorted(match_of_slot[i : i + r])) for i in range(0, n_slots, r))
+    return StarPacking(tuple(zip(centers, stars)))
 
 
 def contract_stars(g: Graph, sp: StarPacking, rest: list[VertexSet]) -> Graph:

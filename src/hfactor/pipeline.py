@@ -5,12 +5,12 @@ of disjoint near-independent classes of the canonical size; tidy them
 into a canonical core; pack the core's remainder class with remainder
 patterns (an exact-solver stage standing in for the asymptotic
 machinery); merge each packed pattern into its least vertex, giving an
-auxiliary graph in the host's own vertex order, and pack that with apex
-multipartite copies via the Hall packer; split each copy and its
-remainder pattern, as one bottle block, into clique-minus-an-edge copies
-and merge with everything removed during tidying. Any intermediate dead
-end falls back to the direct exact solver on the whole host, so the
-final decision is always exact.
+auxiliary graph in the host's own vertex order whose last class is those
+least vertices, and pack it with apex multipartite copies via the Hall
+packer; split each copy and its remainder pattern, as one bottle block,
+into clique-minus-an-edge copies and merge with everything removed
+during tidying. Any intermediate dead end falls back to the direct exact
+solver on the whole host, so the final decision is always exact.
 """
 
 from __future__ import annotations
@@ -61,21 +61,6 @@ def default_ladder(r: int) -> TauLadder:
         vals.append(vals[-1] ** 2)
     vals.reverse()
     return TauLadder(tuple(vals))
-
-
-@dataclass(frozen=True)
-class AuxiliaryGraph:
-    """Contraction of a remainder-class packing against the sparse classes.
-
-    Each packed copy is merged into its least vertex, and a sparse-class
-    vertex is adjacent to it exactly when the host joins it to every
-    vertex of that copy; sparse-sparse adjacency is inherited. The graph
-    keeps the host's order, so every vertex is a host vertex.
-    """
-
-    j_graph: Graph
-    left_classes: tuple[VertexSet, ...]
-    right_class: VertexSet
 
 
 @dataclass
@@ -244,8 +229,14 @@ def pack_remainder_class(
 
 def build_auxiliary(
     g: Graph, sparse_classes: list[VertexSet], b1pack: Packing, r: int
-) -> AuxiliaryGraph:
-    """Auxiliary graph: the sparse classes plus each packed copy's least vertex."""
+) -> tuple[Graph, Partition]:
+    """Auxiliary graph and classes, as ``pack_apex_multipartite`` takes them.
+
+    Each packed copy merges into its least vertex, adjacent to exactly the
+    sparse-class vertices the host joins to all of that copy; sparse-sparse
+    adjacency is inherited and the host's order kept. The classes are the
+    sparse classes, then the copies' least vertices.
+    """
     keep = 0
     for c in sparse_classes:
         if len(c) != (r - 1) * len(b1pack.copies):
@@ -254,12 +245,12 @@ def build_auxiliary(
             )
         keep |= c.bits
     groups = [cp.vertices for cp in b1pack.copies]
-    right = VertexSet.from_iterable((group[0] for group in groups), g.n)
-    return AuxiliaryGraph(contract_groups(g, keep, groups), tuple(sparse_classes), right)
+    heads = VertexSet.from_iterable((group[0] for group in groups), g.n)
+    return contract_groups(g, keep, groups), Partition((*sparse_classes, heads), g.n)
 
 
 def expand_packing(
-    aux: AuxiliaryGraph,
+    classes: Partition,
     jpack: Packing,
     b1pack: Packing,
     r: int,
@@ -269,7 +260,8 @@ def expand_packing(
     """Expand apex-multipartite copies of the auxiliary graph into r-2
     clique-minus-an-edge copies each.
 
-    An auxiliary copy and its apex's remainder copy make one bottle block:
+    ``classes`` is the auxiliary partition from ``build_auxiliary``. An
+    auxiliary copy and its apex's remainder copy make one bottle block:
     its r-1 vertices in each sparse class are large parts, the remainder
     copy's pattern classes (``remainder_pattern(r, q).labels``) give the
     small part (class 0) and the other large parts, and
@@ -283,7 +275,7 @@ def expand_packing(
     out: list[Copy] = []
     for jcopy in jpack.copies:
         emb = jcopy.embedding
-        sparse_parts = [sorted(v for v in emb if v in c) for c in aux.left_classes]
+        sparse_parts = [sorted(v for v in emb if v in c) for c in classes.classes[:q]]
         by_label: list[list[int]] = [[] for _ in range(r - q - 1)]
         for label, v in zip(labels, b1_of[emb[-1]].embedding):
             by_label[label].append(v)
@@ -389,27 +381,21 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
 
     check_deadline("auxiliary-pack")
     sparse_star = [result.partition_star[i] for i in range(q)]
-    aux = build_auxiliary(g, sparse_star, b1pack, r)
-    jpack = pack_apex_multipartite(
-        aux.j_graph,
-        Partition(aux.left_classes + (aux.right_class,), aux.j_graph.n),
-        q,
-        r - 1,
-    )
+    j_graph, j_classes = build_auxiliary(g, sparse_star, b1pack, r)
+    jpack = pack_apex_multipartite(j_graph, j_classes, q, r - 1)
     if isinstance(jpack, PackFailure):
         stages.append({"stage": "auxiliary-pack", "result": f"hall failure at level {jpack.level}"})
         return direct("fallback")
     stages.append({"stage": "auxiliary-pack", "copies": len(jpack.copies)})
 
     check_deadline("expand")
-    expanded = expand_packing(aux, jpack, b1pack, r, q, g)
+    expanded = expand_packing(j_classes, jpack, b1pack, r, q, g)
     final = Packing(tuple(result.removed) + tuple(expanded), g.n)
     stages.append({"stage": "expand", "copies": len(final.copies)})
     return finish(True, final, "pipeline")
 
 
 __all__ = [
-    "AuxiliaryGraph",
     "PipelineConfig",
     "PipelineResult",
     "TauLadder",

@@ -57,9 +57,6 @@ class VertexClassification:
     exceptional: list[tuple[int, ...]]
     warnings: list[str] = field(default_factory=list)
 
-    def exceptional_vertices(self) -> list[int]:
-        return [x for x in range(len(self.class_of)) if self.exceptional[x]]
-
 
 @dataclass
 class TidyResult:
@@ -342,15 +339,12 @@ def _run_batch(
 ) -> None:
     """Remove r-2 copies whose net effect, together with the moves already
     applied, shrinks every sparse class by exactly r-1 and the remainder
-    class by its canonical share."""
+    class by its canonical share. The moves sum to zero, so the take
+    vector sums to r(r-2)."""
     r, q = state.r, state.q
-    copies = r - 2
-    big_dec = r * (r - 2) - q * (r - 1)
     take = [(r - 1) + moves_applied.get(c, 0) for c in range(q)]
-    take.append(big_dec + moves_applied.get(q, 0))
-    if sum(take) != r * copies:
-        raise Stuck(stage, f"take vector {take} does not sum to {r * copies}")
-    _remove_batch(state, stage, take, copies, anchor)
+    take.append(r * (r - 2) - q * (r - 1) + moves_applied.get(q, 0))
+    _remove_batch(state, stage, take, r - 2, anchor)
 
 
 def _remove_batch(
@@ -489,12 +483,11 @@ def tidy(g: Graph, sparse_sets: Sequence[VertexSet], r: int, tau: Fraction) -> T
     handled: set[int] = set()
     if q == r - 2:
         handled = _handle_exceptional_last_class(state, cls)
-    for x in sorted(cls.exceptional_vertices(), key=lambda v: (cls.class_of[v], v)):
+    exceptional = [x for x in range(n) if cls.exceptional[x]]
+    for x in sorted(exceptional, key=lambda v: (cls.class_of[v], v)):
         i = state.class_of(x)
         if i < 0 or x in handled:
             continue
-        if q == r - 2 and cls.class_of[x] == q:
-            continue  # remainder-class vertices go through the matching path
         targets = cls.exceptional[x]
         j = targets[0]
         if len(targets) > 1:
@@ -563,12 +556,8 @@ def _handle_exceptional_last_class(state: _TidyState, cls: VertexClassification)
     q, n = state.q, state.g.n
     per_target: dict[int, list[int]] = {}
     for x in range(n):
-        if cls.class_of[x] != q or not cls.exceptional[x]:
-            continue
-        targets = [j for j in cls.exceptional[x] if j < q]
-        if not targets:
-            continue
-        per_target.setdefault(targets[0], []).append(x)
+        if cls.class_of[x] == q and cls.exceptional[x]:
+            per_target.setdefault(cls.exceptional[x][0], []).append(x)
     matchings: dict[int, list[tuple[int, int]]] = {}
     reserved = 0
     for i, xs in sorted(per_target.items()):

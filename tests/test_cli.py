@@ -278,6 +278,8 @@ def test_cli_threshold_table(capsys):
             ["hallpack", "--host", "{pattern}", "--classes", "{bad}", "--q", "0", "--r", "1"],
             '{"classes": [[0, 1, 2, 3]]}',
         ),
+        (["construct", "bottle", "--out", "{bad}"], None),
+        (["construct", "extremal-multi", "--k", "2", "--out", "{bad}"], None),
     ],
     ids=[
         "non-integer",
@@ -293,6 +295,8 @@ def test_cli_threshold_table(capsys):
         "sparse-not-a-list",
         "ladder-too-short",
         "hallpack-q-zero",
+        "bottle-without-pattern",
+        "extremal-multi-without-pattern",
     ],
 )
 def test_cli_bad_input_is_a_one_line_error(capsys, tmp_path, pattern_file, argv, text):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,33 @@ def test_star_pack_absent_with_hall_witness():
     demand, supply = res.violation()
     assert demand > supply
     assert 6 in res.centers
+
+
+def test_every_witness_is_exactly_a_hall_violator():
+    # seeded hosts over r, k, q and deletion rates: every witness from
+    # star_pack, and every PackFailure witness at the top level (where the
+    # host is not yet contracted), has its centres in `small`, its
+    # neighbourhood equal to N(centres) & big, and r |centres| above it
+    rng = random.Random(14)
+    checked = 0
+    for seed in range(300):
+        r, k, q = rng.randint(1, 4), rng.randint(1, 6), rng.randint(1, 3)
+        g, part = random_multipartite_deleted([k * r] * q + [k], rng.uniform(0.2, 0.7), seed)
+        res = pack_apex_multipartite(g, part, q, r)
+        cases = [(part[i], star_pack(g, part[i], part[q], r)) for i in range(q)]
+        if isinstance(res, PackFailure) and res.level == q:
+            cases.append((part[q - 1], res.witness))
+        for big, w in cases:
+            if not isinstance(w, HallWitness):
+                continue
+            assert set(w.centers) <= set(part[q])
+            reach = 0
+            for c in w.centers:
+                reach |= g.adj[c]
+            assert w.neighborhood == tuple(v for v in big if (reach >> v) & 1)
+            assert r * len(w.centers) > len(w.neighborhood)
+            checked += 1
+    assert checked > 400  # 467 witnesses at these seeds
 
 
 def test_star_pack_follows_an_augmenting_path_longer_than_the_recursion_limit():
@@ -160,6 +188,10 @@ def test_pack_apex_rejects_q_or_r_below_one():
         pack_apex_multipartite(g, Partition.from_lists([range(4)], 4), 0, 1)
     with pytest.raises(BadParameter):
         pack_apex_multipartite(g, Partition.from_lists([[], [0]], 4), 1, 0)
+    with pytest.raises(BadParameter):
+        pack_apex_multipartite(g, Partition.from_lists([range(4)], 4), 1, 1)  # one class
+    with pytest.raises(BadParameter):
+        pack_apex_multipartite(g, Partition.from_lists([[0, 1, 2], [3]], 4), 1, 2)  # 3 != k r
 
 
 def test_default_tolerance_ladder():

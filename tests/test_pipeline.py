@@ -42,6 +42,10 @@ def test_default_ladder_shape():
     assert ladder.values[0] == Fraction(1, 400) ** 4
     with pytest.raises(BadParameter):
         TauLadder((Fraction(1, 2), Fraction(1, 3)))  # not increasing
+    with pytest.raises(BadParameter):
+        TauLadder(())
+    with pytest.raises(BadParameter):
+        default_ladder(3)
 
 
 def test_find_sparse_sets_rejects_a_ladder_shorter_than_r_minus_2():
@@ -156,22 +160,21 @@ def test_build_auxiliary_edge_semantics():
     g = canonical_graph(spec)
     part = canonical_partition(spec)
     b1pack = pack_remainder_class(g, part[1], 4, 1)
-    aux = build_auxiliary(g, [part[0]], b1pack, 4)
+    j_graph, j_classes = build_auxiliary(g, [part[0]], b1pack, 4)
     # each copy is merged into its least vertex; the host's order is kept
-    assert aux.j_graph.n == 16
+    assert j_graph.n == 16
     heads = [cp.vertices[0] for cp in b1pack.copies]
-    assert aux.right_class.to_list() == heads
-    assert aux.left_classes == (part[0],)
+    assert j_classes == Partition.from_lists([part[0], heads], 16)
     # complete host: every sparse vertex joined to every copy vertex
     for a in range(6):
         for x in heads:
-            assert aux.j_graph.has_edge(a, x)
+            assert j_graph.has_edge(a, x)
     # drop one host edge into the first copy: that auxiliary edge must vanish
     target = b1pack.copies[0].vertices[-1]
     g2 = g.drop_edges([(0, target)])
-    aux2 = build_auxiliary(g2, [part[0]], b1pack, 4)
-    assert not aux2.j_graph.has_edge(0, heads[0])
-    assert aux2.j_graph.has_edge(0, heads[1])
+    j_graph2, _ = build_auxiliary(g2, [part[0]], b1pack, 4)
+    assert not j_graph2.has_edge(0, heads[0])
+    assert j_graph2.has_edge(0, heads[1])
 
 
 @pytest.mark.parametrize(
@@ -218,10 +221,9 @@ def test_expand_packing_keeps_each_copy_within_one_remainder_component(r):
         g = Graph.from_edges(n, edges)
         b1pack = Packing((Copy(tuple(range(m)), tuple(range(m))),), n)
         classes = [VertexSet.from_iterable(part, n) for part in sparse]
-        aux = build_auxiliary(g, classes, b1pack, r)
-        apex_classes = Partition(aux.left_classes + (aux.right_class,), aux.j_graph.n)
-        jpack = pack_apex_multipartite(aux.j_graph, apex_classes, q, r - 1)
-        copies = expand_packing(aux, jpack, b1pack, r, q, g)
+        j_graph, j_classes = build_auxiliary(g, classes, b1pack, r)
+        jpack = pack_apex_multipartite(j_graph, j_classes, q, r - 1)
+        copies = expand_packing(j_classes, jpack, b1pack, r, q, g)
         assert verify_packing(kr_minus(r), g, Packing(tuple(copies), n), require_perfect=True)
 
 
@@ -339,6 +341,8 @@ def test_pipeline_agrees_with_solver_on_mixed_corpus():
 def test_threshold_table_values():
     table = threshold_table(4, 24)
     assert table == {4: 3, 8: 5, 12: 8, 16: 10, 20: 13, 24: 15}
+    with pytest.raises(BadParameter):
+        threshold_table(3, 12)
 
 
 def test_auxiliary_misses_bounded_by_host_misses():
@@ -351,10 +355,8 @@ def test_auxiliary_misses_bounded_by_host_misses():
     g = g.drop_edges(drops)
     b1pack = pack_remainder_class(g, part[1], 4, 1)
     assert b1pack is not None
-    aux = build_auxiliary(g, [part[0]], b1pack, 4)
+    j_graph, j_classes = build_auxiliary(g, [part[0]], b1pack, 4)
     for v in part[0]:
         host_misses = sum(1 for w in part[1] if not g.has_edge(v, w))
-        j_misses = sum(
-            1 for x in aux.right_class if not aux.j_graph.has_edge(v, x)
-        )
+        j_misses = sum(1 for x in j_classes[1] if not j_graph.has_edge(v, x))
         assert j_misses <= host_misses

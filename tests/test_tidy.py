@@ -232,6 +232,15 @@ def test_tidy_rejects_structural_violations():
     g2 = complete_graph(15)
     with pytest.raises(BadParameter):
         tidy(g2, [VertexSet.from_iterable(range(6), 15)], 4, TAU)  # 4 does not divide 15
+    with pytest.raises(BadParameter):
+        tidy(g, [], 4, TAU)  # no sparse set
+    thirds = [VertexSet.from_iterable(range(i, i + 5), 16) for i in (0, 5, 10)]
+    with pytest.raises(BadParameter):
+        tidy(g, thirds, 4, TAU)  # more than r - 2 sparse sets
+    with pytest.raises(BadParameter):
+        tidy(g, [VertexSet.from_iterable(range(6), 17)], 4, TAU)  # over another host
+    with pytest.raises(BadParameter):
+        tidy(g, [VertexSet.from_iterable(range(i, i + 6), 16) for i in (0, 3)], 4, TAU)  # overlap
 
 
 def test_tidy_relocates_remainder_deficient_sparse_vertices():
