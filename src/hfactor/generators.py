@@ -9,11 +9,16 @@ import random
 from fractions import Fraction
 
 from .constructions import CanonicalSpec, canonical_graph, canonical_partition
+from .errors import BadParameter
 from .graphs import Graph, Partition
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p)."""
+    if n < 0:
+        raise BadParameter(f"random graph needs n >= 0, got {n}")
+    if not 0 <= p <= 1:  # NaN fails too
+        raise BadParameter(f"random graph needs 0 <= p <= 1, got {p}")
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)

@@ -77,24 +77,15 @@ class Graph:
         if len(adj) != n:
             raise ValueError("adjacency length mismatch")
         full = (1 << n) - 1
-        # every upper entry reciprocated and as many lower as upper entries
-        # imply symmetry; only a failure walks all entries, to name the pair
-        symmetric = True
-        upper = lower = 0
         for u, row in enumerate(adj):
             if row & ~full:
                 raise ValueError("adjacency bit outside vertex range")
             if (row >> u) & 1:
                 raise ValueError(f"loop at vertex {u}")
-            above = row >> (u + 1) << (u + 1)
-            upper += above.bit_count()
-            lower += (row ^ above).bit_count()
-            while above:
-                low = above & -above
-                above ^= low
-                if not (adj[low.bit_length() - 1] >> u) & 1:
-                    symmetric = False
-        if not symmetric or upper != lower:
+        # symmetric iff the bit matrix equals its transpose, compared as strings;
+        # only a mismatch walks the entries, to name the first asymmetric pair
+        rows = [format(row, f"0{n}b")[::-1] for row in adj]
+        if rows != list(map("".join, zip(*rows))):
             for u in range(n):
                 for v in bits_of(adj[u]):
                     if not (adj[v] >> u) & 1:

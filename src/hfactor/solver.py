@@ -5,9 +5,12 @@ distinct vertex set of the host that carries a copy of the pattern, one
 column per host vertex. The rows come from a depth-first search over
 ascending vertex sets that drops a set as soon as it misses more host
 edges than the pattern leaves out, so its cost follows the number of
-near-copies, not the number of subsets. For patterns other than a clique
-minus at most one edge, a set goes to an embedding search that draws each
-pattern vertex from its own candidate mask; tidy places its copies with it.
+near-copies, not the number of subsets. For a clique or a clique minus
+one edge the search stops one vertex short: each (k - 1)-set reads its
+last vertices off one mask and emits those copies together, so a copy
+costs one mask step. For other patterns a set goes to an embedding search
+that draws each pattern vertex from its own candidate mask; tidy places
+its copies with it.
 
 One branch and bound on an explicit stack answers both questions. It
 looks for a packing with more copies than a floor: n/|H| - 1 for a
@@ -21,24 +24,25 @@ again, and drops all its untried children at once if it can no longer
 beat the best. A cut only drops subtrees that cannot beat the best, so
 a negative answer is an exhaustive proof. Timeouts, which count
 enumeration time, are a first-class outcome and never conflated with a
-proven negative.
+proven negative. Enumeration reads the clock by candidates scanned, not
+by sets stacked, so one long scan cannot run far past the budget.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import Timeout
 from .graphs import Graph, bits_of
 
 DEFAULT_BUDGET_SECS = 60.0
 
-_TIME_CHECK_MASK = 0x3FF  # consult the clock every 1024 nodes or enumeration frames
+_TIME_CHECK_MASK = 0x3FF  # consult the clock every 1024 nodes or enumeration candidates
 
 
-@dataclass(frozen=True)
-class Copy:
+class Copy(NamedTuple):
     """An embedded occurrence of a pattern in a host graph.
 
     ``embedding[p]`` is the host vertex playing pattern vertex p;
@@ -119,46 +123,61 @@ def enumerate_copies(h: Graph, g: Graph, deadline: float | None = None) -> list[
     exactly ``slack`` by common neighbours only. The stored embedding is
     the lexicographically least one for its set: for a clique or a clique
     minus one edge it follows from the set's missing pair; other patterns
-    pass a degree-sequence filter and then a backtracking search. Raises
-    Timeout once ``time.monotonic()`` passes ``deadline``.
+    pass a degree-sequence filter and then a backtracking search.
+
+    For a clique or a clique minus one edge (slack at most 1) the search
+    never stacks a (k - 1)-set: it reads the set's last vertices off one
+    mask, its common neighbourhood above its last vertex once the set is
+    at the slack, else every vertex above it that adds at most one gap,
+    and emits those copies at once in ascending order. The clock counts
+    work, the candidates scanned at each stacked set and each (k - 1)-set,
+    and Timeout is raised once ``time.monotonic()`` passes ``deadline``.
     """
     n, k = g.n, h.n
     if k > n:
         return []
     if k == 0:
         return [Copy((), ())]
+    if k == 1:
+        return [Copy((v,), (v,)) for v in range(n)]
     adj = g.adj
     slack = k * (k - 1) // 2 - h.edge_count()
     dense = slack <= 1
     if dense:
         # a set missing no edge hosts h as itself; one missing pair (a, b)
         # takes the pattern's missing pair (p, q), the rest go in ascending
+        # order, so the set's largest vertex takes the last slot outside (p, q)
         pat_pair = next(
             ((p, q) for p in range(k) for q in range(p + 1, k) if not (h.adj[p] >> q) & 1),
             None,
         )
         if pat_pair is not None:
             p, q = pat_pair
-            others = [i for i in range(k) if i != p and i != q]
+            last_slot = max((i for i in range(k) if i != p and i != q), default=-1)
     else:
         needs = [h.degree(p) for p in range(k)]
         h_degs = sorted(needs, reverse=True)
+    last = k - 1 if dense else k  # sets of this size are finished where they form
     out: list[Copy] = []
     full = (1 << n) - 1
+    # work counts the candidates scanned, at stacked sets and at (k - 1)-sets;
+    # the clock is read before the next candidate once it passes tick
+    work, tick = 0, _TIME_CHECK_MASK + 1
     # frame: vertices, their mask, common neighbourhood, missing edges, first missing pair
     stack = [((), 0, full, 0, None)]
-    popped = 0
     while stack:
         verts, mask, common, missing, pair = stack.pop()
-        popped += 1
-        if deadline is not None and not (popped & _TIME_CHECK_MASK) and time.monotonic() > deadline:
-            raise Timeout(f"budget exhausted enumerating copies, {len(out)} found so far")
         depth = len(verts) + 1  # size of the sets this frame's children form
         above = verts[-1] + 1 if verts else 0
         room = (1 << (n - k + depth)) - 1  # leaves k - depth vertices above the last
         cands = (common if missing == slack else full) & room & ~((1 << above) - 1)
+        work += cands.bit_count()
         children = []
         while cands:
+            if work >= tick:
+                tick = (work | _TIME_CHECK_MASK) + 1
+                if deadline is not None and time.monotonic() > deadline:
+                    raise Timeout(f"budget exhausted enumerating copies, {len(out)} found so far")
             low = cands & -cands
             cands ^= low
             v = low.bit_length() - 1
@@ -171,18 +190,44 @@ def enumerate_copies(h: Graph, g: Graph, deadline: float | None = None) -> list[
                 pair_v = ((gaps & -gaps).bit_length() - 1, v)
             else:
                 pair_v = pair
-            if depth < k:
+            if depth < last:
                 children.append((vs, mask | low, common & adj[v], now_missing, pair_v))
             elif dense:
-                if pair_v is None:
-                    out.append(Copy(vs, vs))
+                higher = full & -(low << 1)
+                if now_missing == slack:
+                    ends = common & adj[v] & higher
+                    if not ends:
+                        continue
+                else:
+                    ends = higher
+                work += ends.bit_count()
+                if now_missing < slack:
+                    # no pair yet: the last vertex w may bring the one gap (a, w)
+                    vs_mask = mask | low
+                    for w in bits_of(ends):
+                        gaps = vs_mask & ~adj[w]
+                        if not gaps:
+                            vs_w = vs + (w,)
+                            out.append(Copy(vs_w, vs_w))
+                        elif not gaps & (gaps - 1):
+                            a = gaps.bit_length() - 1
+                            emb = [x for x in vs if x != a]
+                            emb.insert(p, a)
+                            emb.insert(q, w)
+                            out.append(Copy(vs + (w,), tuple(emb)))
+                elif pair_v is None:
+                    for w in bits_of(ends):
+                        vs_w = vs + (w,)
+                        out.append(Copy(vs_w, vs_w))
                 else:
                     a, b = pair_v
-                    emb = [0] * k
-                    emb[p], emb[q] = a, b
-                    for i, x in zip(others, [x for x in vs if x != a and x != b]):
-                        emb[i] = x
-                    out.append(Copy(vs, tuple(emb)))
+                    emb = [x for x in vs if x != a and x != b]
+                    emb.append(-1)  # holds the last slot, which each w fills
+                    emb.insert(p, a)
+                    emb.insert(q, b)
+                    head, tail = tuple(emb[:last_slot]), tuple(emb[last_slot + 1 :])
+                    for w in bits_of(ends):
+                        out.append(Copy(vs + (w,), head + (w,) + tail))
             else:
                 # pattern vertex p may only go to members of at least its degree inside vs
                 vs_mask = mask | low
@@ -238,7 +283,6 @@ def _branch_and_bound(
     stats.copies = len(copies)
     k, n = h.n, g.n
     full = (1 << n) - 1
-    masks = [c.mask() for c in copies]
     # bit idx of vertex_rows[v] is set iff copy idx covers v
     rows = [bytearray((len(copies) + 7) >> 3) for _ in range(n)]
     for idx, c in enumerate(copies):
@@ -269,12 +313,11 @@ def _branch_and_bound(
             if todo != low:
                 stack.append((packed, blocked, active, chain, todo ^ low, coverable, seen))
             idx = low.bit_length() - 1
-            conflict = 0
+            conflict, taken = 0, blocked
             for v in copies[idx].vertices:
                 conflict |= vertex_rows[v]
-            stack.append(
-                (packed + 1, blocked | masks[idx], active & ~conflict, (idx, chain), None, 0, 0)
-            )
+                taken |= 1 << v
+            stack.append((packed + 1, taken, active & ~conflict, (idx, chain), None, 0, 0))
             continue
         if todo == 0:
             proved[blocked] = best - packed

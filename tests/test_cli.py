@@ -280,6 +280,9 @@ def test_cli_threshold_table(capsys):
         ),
         (["construct", "bottle", "--out", "{bad}"], None),
         (["construct", "extremal-multi", "--k", "2", "--out", "{bad}"], None),
+        (["random", "--n", "-3", "--p", "0.5", "--seed", "1", "--out", "{bad}"], None),
+        (["random", "--n", "5", "--p", "1.5", "--seed", "1", "--out", "{bad}"], None),
+        (["random", "--n", "5", "--p", "nan", "--seed", "1", "--out", "{bad}"], None),
     ],
     ids=[
         "non-integer",
@@ -297,6 +300,9 @@ def test_cli_threshold_table(capsys):
         "hallpack-q-zero",
         "bottle-without-pattern",
         "extremal-multi-without-pattern",
+        "random-negative-order",
+        "random-p-above-one",
+        "random-p-nan",
     ],
 )
 def test_cli_bad_input_is_a_one_line_error(capsys, tmp_path, pattern_file, argv, text):

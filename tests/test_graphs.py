@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -33,6 +34,31 @@ def test_graph_rejects_loops_and_asymmetry():
         Graph(2, [0b10, 0b00])  # 0->1 without 1->0
     with pytest.raises(ValueError, match="asymmetric edge 1-0"):
         Graph(2, [0b00, 0b01])  # 1->0 without 0->1: a lower entry only
+
+
+@given(st.data())
+def test_graph_symmetry_check_matches_an_entrywise_walk(data):
+    n = data.draw(st.integers(0, 6))
+    adj = [0] * n
+    for u, v in combinations(range(n), 2):
+        if data.draw(st.booleans()):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for u, v in data.draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=3)):
+            adj[u] ^= 1 << v
+    walk = [
+        f"asymmetric edge {u}-{v}"
+        for u in range(n)
+        for v in range(n)
+        if (adj[u] >> v) & 1 and not (adj[v] >> u) & 1
+    ]
+    if walk:
+        with pytest.raises(ValueError, match=f"^{walk[0]}$"):
+            Graph(n, adj)
+    else:
+        assert Graph(n, adj).adj == tuple(adj)
 
 
 def test_graph_is_immutable():

@@ -2,19 +2,21 @@ from __future__ import annotations
 
 import gc
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfactor.constructions import (
+    CanonicalSpec,
     bottle_graph,
     kr_minus,
     kr_minus_extremal,
     multipartite_extremal,
 )
 from hfactor.errors import Timeout
-from hfactor.generators import random_graph
+from hfactor.generators import noisy_canonical, random_graph
 from hfactor.graphs import (
     Graph,
     complete_graph,
@@ -132,7 +134,7 @@ def test_entry_points_fill_search_stats(entry):
 
 @pytest.mark.parametrize("entry", [find_perfect_packing, max_packing_size])
 def test_budget_covers_copy_enumeration(entry):
-    # 5 divides n, and full enumeration takes seconds (over 100k copies of K5-)
+    # 5 divides n, and enumeration builds over 100k copies of K5-
     g = random_graph(35, 0.8, 5)
     stats = SearchStats()
     t0 = time.monotonic()
@@ -140,6 +142,16 @@ def test_budget_covers_copy_enumeration(entry):
         entry(kr_minus(5), g, 0.0, stats)
     assert time.monotonic() - t0 < 1.0
     assert stats.nodes == 0  # the clock ran out before the search began
+
+
+def test_budget_bounds_enumeration_on_a_large_host():
+    # a (k - 1)-set's completions here are hundreds of candidates read off one
+    # mask: a clock that counted stacked sets, not candidates, would overrun
+    g = noisy_canonical(CanonicalSpec(4, 2, 400), 0)[0]
+    t0 = time.monotonic()
+    with pytest.raises(Timeout):
+        find_perfect_packing(kr_minus(4), g, 0.2)
+    assert time.monotonic() - t0 < 1.0
 
 
 @pytest.mark.parametrize("entry", [find_perfect_packing, max_packing_size])
@@ -232,11 +244,17 @@ def test_found_packings_always_verify():
 ORACLE_PATTERNS = {
     "K1": complete_graph(1),
     "E2": empty_graph(2),
+    "K2": complete_graph(2),
     "K3": complete_graph(3),
     "K4": complete_graph(4),
     "K3-": kr_minus(3),
     "K4-": kr_minus(4),
     "K5-": kr_minus(5),
+    "K6-": kr_minus(6),
+    # cliques minus a pair other than (0, 1): the pair's hosts land mid-embedding,
+    # and in K4-23 a set's largest vertex takes slot 1, ahead of the pair
+    "K5-13": Graph.from_edges(5, [e for e in combinations(range(5), 2) if e != (1, 3)]),
+    "K4-23": Graph.from_edges(4, [e for e in combinations(range(4), 2) if e != (2, 3)]),
     "K122": complete_multipartite([1, 2, 2]),
     "P4": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),  # slack 3
 }
