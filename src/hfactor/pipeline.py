@@ -15,6 +15,7 @@ solver on the whole host, so the final decision is always exact.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -31,7 +32,14 @@ from .constructions import (
 from .errors import BadParameter, InternalError, Stuck, Timeout
 from .graphs import Graph, Partition, VertexSet, bits_of, contract_groups, edges_within, induced
 from .hall import PackFailure, pack_apex_multipartite
-from .solver import DEFAULT_BUDGET_SECS, Copy, Packing, find_perfect_packing, packing_defect
+from .solver import (
+    _TIME_CHECK_MASK,
+    DEFAULT_BUDGET_SECS,
+    Copy,
+    Packing,
+    find_perfect_packing,
+    packing_defect,
+)
 from .tidy import TidyResult, tidy
 
 
@@ -82,7 +90,9 @@ class PipelineResult:
 # Sparse-set detection
 
 
-def _improve_sparse_set(g: Graph, bits: int, pool: int, max_swaps: int) -> int:
+def _improve_sparse_set(
+    g: Graph, bits: int, pool: int, max_swaps: int, deadline: float | None = None
+) -> int:
     """Steepest-descent swaps minimizing internal edges of the set.
 
     Swapping member u for outsider v (v in pool) removes
@@ -91,14 +101,26 @@ def _improve_sparse_set(g: Graph, bits: int, pool: int, max_swaps: int) -> int:
     positive gain, the first in (u, v) ascending order on ties, so only
     outsiders at the least count m (the gain's + 1 needs one adjacent to
     u) or at m + 1 adjacent to u can win. The counts are kept for every
-    host vertex and updated per swap by walking adj[u] and adj[v].
+    host vertex; a swap changes only those of the vertices in exactly one
+    of adj[u] and adj[v]. The outsiders, and the members in ascending
+    order, are kept as lists across swaps. Each step scans the pool; the
+    clock counts those vertices, and Timeout is raised once
+    ``time.monotonic()`` passes ``deadline``.
     """
     adj = g.adj
     inside = [(a & bits).bit_count() for a in adj]
+    outside = list(bits_of(pool & ~bits))
+    members = list(bits_of(bits))
+    scanned = pool.bit_count()
+    work, tick = 0, _TIME_CHECK_MASK + 1
     for _ in range(max_swaps):
-        outside = list(bits_of(pool & ~bits))
         if not outside:
             break
+        work += scanned
+        if work >= tick:
+            tick = (work | _TIME_CHECK_MASK) + 1
+            if deadline is not None and time.monotonic() > deadline:
+                raise Timeout("budget exhausted finding sparse sets")
         low = min(inside[v] for v in outside)
         at_low = at_next = 0
         for v in outside:
@@ -108,7 +130,7 @@ def _improve_sparse_set(g: Graph, bits: int, pool: int, max_swaps: int) -> int:
                 at_next |= 1 << v
         best_gain = 0
         best_swap: tuple[int, int] | None = None
-        for u in bits_of(bits):
+        for u in members:
             hit = at_low & adj[u]
             if hit:
                 gain = inside[u] - low + 1
@@ -122,21 +144,27 @@ def _improve_sparse_set(g: Graph, bits: int, pool: int, max_swaps: int) -> int:
             break
         u, v = best_swap
         bits ^= (1 << u) | (1 << v)
-        for x in bits_of(adj[u]):
+        members.remove(u)
+        bisect.insort(members, v)
+        outside.remove(v)
+        if pool >> u & 1:
+            outside.append(u)
+        for x in bits_of(adj[u] & ~adj[v]):
             inside[x] -= 1
-        for x in bits_of(adj[v]):
+        for x in bits_of(adj[v] & ~adj[u]):
             inside[x] += 1
     return bits
 
 
-def _find_one_sparse_set(
-    g: Graph, size: int, tau: Fraction, used: int
-) -> VertexSet | None:
-    pool = ((1 << g.n) - 1) & ~used
-    if pool.bit_count() < size:
-        return None
-    candidates = sorted(bits_of(pool), key=lambda v: (g.degree(v), v))
-    # greedy grow: always the vertex adding the fewest internal edges
+def _sparse_seeds(g: Graph, pool: int, size: int):
+    """The ``size`` least-degree pool vertices, then a greedy-grown set.
+
+    The grow starts at the least-degree vertex and always adds the pool
+    vertex with the fewest neighbours in the set, the least on ties. A
+    generator, so the grown seed is built only when the first one fails.
+    """
+    candidates = sorted(bits_of(pool), key=g.degree)  # stable: ties stay ascending
+    yield candidates[:size]
     grown = [candidates[0]]
     grown_bits = 1 << candidates[0]
     rest = set(candidates[1:])
@@ -145,37 +173,51 @@ def _find_one_sparse_set(
         grown.append(v)
         grown_bits |= 1 << v
         rest.remove(v)
-    seeds = [candidates[:size], grown]
-    max_swaps = 4 * g.n
+    yield grown
+
+
+def _find_one_sparse_set(
+    g: Graph, size: int, tau: Fraction, used: int, deadline: float | None
+) -> VertexSet | None:
+    """A set of ``size`` unused vertices with at most tau * C(size, 2) edges, or None.
+
+    Each seed of ``_sparse_seeds`` is improved by swaps within the unused
+    vertices, and the first that meets the bound is returned; the second
+    seed is built only when the first fails.
+    """
+    pool = ((1 << g.n) - 1) & ~used
     threshold = tau * math.comb(size, 2)
-    for seed in seeds:
+    for seed in _sparse_seeds(g, pool, size):
         bits = 0
         for v in seed:
             bits |= 1 << v
-        bits = _improve_sparse_set(g, bits, pool, max_swaps)
-        vs = VertexSet(bits, g.n)
+        vs = VertexSet(_improve_sparse_set(g, bits, pool, 4 * g.n, deadline), g.n)
         if edges_within(g, vs) <= threshold:
             return vs
     return None
 
 
-def find_sparse_sets(g: Graph, r: int, ladder: TauLadder) -> tuple[int, list[VertexSet]]:
+def find_sparse_sets(
+    g: Graph, r: int, ladder: TauLadder, deadline: float | None = None
+) -> tuple[int, list[VertexSet]]:
     """Largest q admitting q disjoint canonical-size sets of density <= tau_q.
 
     q = 0 means no sparse structure was found (the non-extremal regime).
+    Timeout is raised once ``time.monotonic()`` passes ``deadline``.
     """
     if len(ladder.values) < r - 2:
         raise BadParameter(f"ladder has {len(ladder.values)} levels, r = {r} needs {r - 2}")
     n = g.n
     size = sparse_class_size(r, n)
     for q in range(r - 2, 0, -1):
+        # q * size <= n leaves the i-th search n - i * size >= size unused vertices
         if q * size > n or size < 2:
             continue
         tau = ladder.tau_for(q)
         sets: list[VertexSet] = []
         used = 0
         for _ in range(q):
-            s = _find_one_sparse_set(g, size, tau, used)
+            s = _find_one_sparse_set(g, size, tau, used, deadline)
             if s is None:
                 break
             sets.append(s)
@@ -305,8 +347,9 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
     Follows the sparse-set route when the host is extremal-like, else
     (or on any intermediate dead end) the direct exact solver. The
     returned packing, when present, always verifies. The budget covers
-    the whole run: each solver call gets the time left of it, and the
-    deadline is checked again before tidy, the Hall packer and expansion.
+    the whole run: each solver call gets the time left of it, sparse-set
+    detection reads the deadline as it swaps, and the deadline is checked
+    again before tidy, the Hall packer and expansion.
     A Timeout carries the stage trace so far as ``stages``.
     """
     cfg = config or PipelineConfig()
@@ -353,7 +396,12 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
                 {"stage": "degree-check", "result": f"min degree {delta} below {need}"}
             )
     ladder = cfg.ladder or default_ladder(r)
-    q, sparse_sets = find_sparse_sets(g, r, ladder)
+    try:
+        q, sparse_sets = find_sparse_sets(g, r, ladder, deadline)
+    except Timeout as exc:
+        stages.append({"stage": "sparse-sets", "result": "timeout"})
+        exc.stages = stages
+        raise
     stages.append({"stage": "sparse-sets", "q": q})
     if q == 0:
         return direct("direct")

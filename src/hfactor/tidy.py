@@ -11,12 +11,15 @@ whose every vertex sees almost all of every other class. Copies are placed
 by the solver's exhaustive embedding search, one candidate mask per slot.
 
 All threshold comparisons against fractional powers of tau are exact:
-``count >= tau^(1/3) * size`` is evaluated as ``count^3 >= tau * size^3``
-over integers and Fractions, never through floats.
+``count >= tau^(1/3) * size`` is evaluated as
+``count^3 * tau.denominator >= tau.numerator * size^3`` over integers
+only, never through Fractions or floats. ``classify`` finds, once per
+class, the least count at which each of its tests turns true.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -28,17 +31,17 @@ from .solver import Copy, Packing, _lex_least_embedding, packing_defect
 
 
 def ge_power(count: int, tau: Fraction, size: int, root: int) -> bool:
-    """count >= tau**(1/root) * size, exactly."""
+    """count >= tau**(1/root) * size, exactly, in integers (the denominator is positive)."""
     if count < 0:
         return False
-    return count**root >= tau * size**root
+    return count**root * tau.denominator >= tau.numerator * size**root
 
 
 def le_power(count: int, tau: Fraction, size: int, root: int) -> bool:
-    """count <= tau**(1/root) * size, exactly."""
+    """count <= tau**(1/root) * size, exactly, in integers (the denominator is positive)."""
     if count < 0:
         return True
-    return count**root <= tau * size**root
+    return count**root * tau.denominator <= tau.numerator * size**root
 
 
 @dataclass
@@ -114,6 +117,14 @@ def classify(g: Graph, p: Partition, tau: Fraction) -> VertexClassification:
     bad = [False] * n
     useless = [False] * n
     exceptional: list[tuple[int, ...]] = [()] * n
+
+    def turns_at(holds) -> list[int]:
+        """Per class of size s, the least count in 0..s where ``holds`` turns true, else s + 1."""
+        return [bisect.bisect_left(range(s + 1), True, key=lambda c: holds(c, s)) for s in sizes]
+
+    bad_at = turns_at(lambda c, s: ge_power(c, tau, s, 3))
+    useless_at = turns_at(lambda c, s: ge_power(c, tau, s, 4))
+    far_at = turns_at(lambda c, s: not le_power(c, tau, s, 3))
     for x in range(n):
         i = class_of[x]
         if i < 0:
@@ -121,14 +132,13 @@ def classify(g: Graph, p: Partition, tau: Fraction) -> VertexClassification:
         targets = []
         for j, c in enumerate(p.classes):
             cross[x][j] = (g.adj[x] & c.bits).bit_count()
-        bad[x] = ge_power(cross[x][i], tau, sizes[i], 3)
+        bad[x] = cross[x][i] >= bad_at[i]
         for j in range(len(p.classes)):
             if j == i:
                 continue
-            miss = sizes[j] - cross[x][j]
-            if ge_power(miss, tau, sizes[j], 4):
+            if sizes[j] - cross[x][j] >= useless_at[j]:
                 useless[x] = True
-            if le_power(cross[x][j], tau, sizes[j], 3):
+            if cross[x][j] < far_at[j]:
                 targets.append(j)
         exceptional[x] = tuple(targets)
     warnings = []

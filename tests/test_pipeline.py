@@ -86,6 +86,36 @@ def test_find_sparse_sets_on_blocker():
         assert all(not g.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1 :])
 
 
+def test_find_sparse_sets_skips_a_level_whose_sets_do_not_fit():
+    # r = 5, n = 5: classes of 2 vertices, so level 3 (6 > 5) is skipped
+    q, sets = find_sparse_sets(Graph.from_edges(5, []), 5, default_ladder(5))
+    assert q == 2
+    assert [len(s) for s in sets] == [2, 2] and not sets[0].bits & sets[1].bits
+
+
+def test_second_sparse_seed_is_grown_only_when_the_first_fails(monkeypatch):
+    drawn = []
+    real = pipeline._sparse_seeds
+
+    def counting(*args):
+        for seed in real(*args):
+            drawn.append(seed)
+            yield seed
+
+    monkeypatch.setattr(pipeline, "_sparse_seeds", counting)
+    # the least-degree vertices are the canonical classes: one seed per set
+    q, _ = find_sparse_sets(canonical_graph(CanonicalSpec(4, 2, 16)), 4, default_ladder(4))
+    assert q == 2 and len(drawn) == 2
+    # vertex 9, of least degree, joins five vertices of the class 0..5 in the
+    # least-degree seed, which swaps cannot repair; the seed grown from 9
+    # finds its own class 6..11
+    drawn.clear()
+    g, _ = planted_sparse_graph(16, 4, 2, 0.04, 10)
+    q, sets = find_sparse_sets(g, 4, default_ladder(4))
+    assert drawn[:2] == [[9, 1, 0, 2, 4, 5], [9, 6, 7, 8, 10, 11]]
+    assert q == 1 and sets[0].to_list() == list(range(6, 12))
+
+
 def _full_table_swaps(g, bits, pool, max_swaps):
     """Reference: every member/outsider gain recomputed on every step."""
     for _ in range(max_swaps):
@@ -282,6 +312,16 @@ def test_pipeline_budget_reaches_the_structural_route():
     stages = info.value.stages
     assert {"stage": "sparse-sets", "q": 2} in stages
     assert stages[-1] == {"stage": "tidy", "result": "timeout"}
+
+
+def test_pipeline_budget_bounds_sparse_set_detection():
+    g, _ = noisy_canonical(CanonicalSpec(4, 2, 2000), 12345, planted_exceptional=1)
+    ladder = TauLadder((Fraction(1, 10000), Fraction(1, 100)))
+    t0 = time.monotonic()
+    with pytest.raises(Timeout) as info:
+        run_pipeline(g, 4, PipelineConfig(ladder=ladder, budget_secs=0.05))
+    assert time.monotonic() - t0 < 0.25
+    assert info.value.stages[-1] == {"stage": "sparse-sets", "result": "timeout"}
 
 
 @pytest.mark.parametrize(

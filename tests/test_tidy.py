@@ -44,6 +44,18 @@ def test_power_comparisons_are_exact():
     assert le_power(1, Fraction(1, 8), 2, 3)
 
 
+@given(
+    st.integers(-5, 400),
+    st.fractions(min_value=0, max_value=1),
+    st.integers(0, 400),
+    st.integers(3, 5),
+)
+def test_power_comparisons_match_the_fraction_expression(count, tau, size, root):
+    # the integer forms against count**root <op> tau * size**root over Fractions
+    assert ge_power(count, tau, size, root) == (count >= 0 and count**root >= tau * size**root)
+    assert le_power(count, tau, size, root) == (count < 0 or count**root <= tau * size**root)
+
+
 def test_adjust_for_divisibility_no_op_cases():
     g, p = _canonical_instance(4, 1, 16)
     p2, k = adjust_for_divisibility(g, p, 4)
