@@ -119,7 +119,7 @@ def _cmd_hallpack(args: argparse.Namespace) -> int:
     g = read_edge_list(args.host)
     classes = read_class_labels(args.classes, g.n)
     part = Partition.from_lists(classes, g.n)
-    result = pack_apex_multipartite(g, part, args.q, args.r)
+    result = pack_apex_multipartite(g.adj, part, args.q, args.r)
     if isinstance(result, PackFailure):
         _emit(
             {

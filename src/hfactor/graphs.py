@@ -267,26 +267,6 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, [0] * n)
 
 
-def contract_groups(g: Graph, keep: int, groups: Iterable[Sequence[int]]) -> Graph:
-    """G[keep] with each group merged into its first vertex, in g's vertex order.
-
-    ``keep`` is a bitmask of kept vertices and the groups lie outside it.
-    A group's first vertex becomes adjacent to exactly the kept vertices
-    joined to every member of the group; groups are pairwise nonadjacent,
-    and every other vertex is left isolated.
-    """
-    adj = [row & keep if (keep >> v) & 1 else 0 for v, row in enumerate(g.adj)]
-    for group in groups:
-        common = keep
-        for v in group:
-            common &= g.adj[v]
-        head = group[0]
-        adj[head] = common
-        for v in bits_of(common):
-            adj[v] |= 1 << head
-    return Graph(g.n, adj)
-
-
 def induced(g: Graph, a: VertexSet) -> Graph:
     """Induced subgraph; vertex order inherited ascending, origin retained."""
     verts = a.to_list()

@@ -4,9 +4,10 @@ The path for a host G of order divisible by r: find the largest number q
 of disjoint near-independent classes of the canonical size; tidy them
 into a canonical core; pack the core's remainder class with remainder
 patterns (an exact-solver stage standing in for the asymptotic
-machinery); merge each packed pattern into its least vertex, giving an
-auxiliary graph in the host's own vertex order whose last class is those
-least vertices, and pack it with apex multipartite copies via the Hall
+machinery); merge each packed pattern into its least vertex, whose
+adjacency row becomes the AND of the pattern's host rows, giving
+auxiliary rows in the host's own vertex order whose last class is those
+least vertices, and pack them with apex multipartite copies via the Hall
 packer; split each copy and its remainder pattern, as one bottle block,
 into clique-minus-an-edge copies and merge with everything removed
 during tidying. Any intermediate dead end falls back to the direct exact
@@ -30,7 +31,7 @@ from .constructions import (
     split_bottle_block,
 )
 from .errors import BadParameter, InternalError, Stuck, Timeout
-from .graphs import Graph, Partition, VertexSet, bits_of, contract_groups, edges_within, induced
+from .graphs import Graph, Partition, VertexSet, bits_of, edges_within, induced
 from .hall import PackFailure, pack_apex_multipartite
 from .solver import (
     _TIME_CHECK_MASK,
@@ -271,35 +272,33 @@ def pack_remainder_class(
 
 def build_auxiliary(
     g: Graph, sparse_classes: list[VertexSet], b1pack: Packing, r: int
-) -> tuple[Graph, Partition]:
-    """Auxiliary graph and classes, as ``pack_apex_multipartite`` takes them.
+) -> tuple[list[int], Partition]:
+    """Auxiliary rows and classes, as ``pack_apex_multipartite`` takes them.
 
-    Each packed copy merges into its least vertex, adjacent to exactly the
-    sparse-class vertices the host joins to all of that copy; sparse-sparse
-    adjacency is inherited and the host's order kept. The classes are the
-    sparse classes, then the copies' least vertices.
+    The rows are the host's adjacency rows, with each packed copy merged
+    into its least vertex: that vertex's row is the AND of the copy's
+    host rows, so it is adjacent to exactly the vertices the host joins
+    to all of the copy. The classes are the sparse classes, then the
+    copies' least vertices.
     """
-    keep = 0
     for c in sparse_classes:
         if len(c) != (r - 1) * len(b1pack.copies):
             raise InternalError(
                 f"auxiliary class size {len(c)} != (r-1) * {len(b1pack.copies)}"
             )
-        keep |= c.bits
-    groups = [cp.vertices for cp in b1pack.copies]
-    heads = VertexSet.from_iterable((group[0] for group in groups), g.n)
-    return contract_groups(g, keep, groups), Partition((*sparse_classes, heads), g.n)
+    rows = list(g.adj)
+    for cp in b1pack.copies:
+        head = cp.vertices[0]
+        for v in cp.vertices[1:]:
+            rows[head] &= g.adj[v]
+    heads = VertexSet.from_iterable((cp.vertices[0] for cp in b1pack.copies), g.n)
+    return rows, Partition((*sparse_classes, heads), g.n)
 
 
 def expand_packing(
-    classes: Partition,
-    jpack: Packing,
-    b1pack: Packing,
-    r: int,
-    q: int,
-    g: Graph,
+    classes: Partition, jpack: Packing, b1pack: Packing, r: int, q: int
 ) -> list[Copy]:
-    """Expand apex-multipartite copies of the auxiliary graph into r-2
+    """Expand apex-multipartite copies of the auxiliary rows into r-2
     clique-minus-an-edge copies each.
 
     ``classes`` is the auxiliary partition from ``build_auxiliary``. An
@@ -309,9 +308,9 @@ def expand_packing(
     small part (class 0) and the other large parts, and
     ``split_bottle_block`` splits it along the remainder pattern's
     components. Every adjacency this relies on is guaranteed by the
-    auxiliary edge semantics; a violation raises InternalError.
+    auxiliary rows' semantics; the copies are not checked here, because
+    ``run_pipeline`` verifies the whole packing once.
     """
-    pattern = kr_minus(r)
     labels = remainder_pattern(r, q).labels
     b1_of = {cp.vertices[0]: cp for cp in b1pack.copies}
     out: list[Copy] = []
@@ -321,11 +320,7 @@ def expand_packing(
         by_label: list[list[int]] = [[] for _ in range(r - q - 1)]
         for label, v in zip(labels, b1_of[emb[-1]].embedding):
             by_label[label].append(v)
-        for kcopy in split_bottle_block(sparse_parts + by_label[1:], by_label[0]):
-            defect = packing_defect(pattern, g, Packing((kcopy,), g.n))
-            if defect is not None:
-                raise InternalError(f"expansion produced an invalid copy: {defect}")
-            out.append(kcopy)
+        out.extend(split_bottle_block(sparse_parts + by_label[1:], by_label[0]))
     return out
 
 
@@ -348,8 +343,8 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
     (or on any intermediate dead end) the direct exact solver. The
     returned packing, when present, always verifies. The budget covers
     the whole run: each solver call gets the time left of it, sparse-set
-    detection reads the deadline as it swaps, and the deadline is checked
-    again before tidy, the Hall packer and expansion.
+    detection and the Hall packer read the deadline as they work, and the
+    deadline is checked again before tidy, the Hall packer and expansion.
     A Timeout carries the stage trace so far as ``stages``.
     """
     cfg = config or PipelineConfig()
@@ -361,12 +356,14 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
     def budget_left() -> float | None:
         return None if deadline is None else max(0.0, deadline - time.monotonic())
 
+    def timed_out(stage: str, exc: Timeout) -> Timeout:
+        stages.append({"stage": stage, "result": "timeout"})
+        exc.stages = stages
+        return exc
+
     def check_deadline(stage: str) -> None:
         if deadline is not None and time.monotonic() > deadline:
-            stages.append({"stage": stage, "result": "timeout"})
-            exc = Timeout(f"budget exhausted before {stage}")
-            exc.stages = stages
-            raise exc
+            raise timed_out(stage, Timeout(f"budget exhausted before {stage}"))
 
     def finish(decision: bool, packing: Packing | None, path: str) -> PipelineResult:
         if packing is not None:
@@ -379,9 +376,7 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
         try:
             packing = find_perfect_packing(pattern, g, budget_left())
         except Timeout as exc:
-            stages.append({"stage": "solver", "result": "timeout"})
-            exc.stages = stages
-            raise
+            raise timed_out("solver", exc)
         stages.append({"stage": "solver", "result": "exists" if packing else "absent"})
         return finish(packing is not None, packing, path)
 
@@ -399,9 +394,7 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
     try:
         q, sparse_sets = find_sparse_sets(g, r, ladder, deadline)
     except Timeout as exc:
-        stages.append({"stage": "sparse-sets", "result": "timeout"})
-        exc.stages = stages
-        raise
+        raise timed_out("sparse-sets", exc)
     stages.append({"stage": "sparse-sets", "q": q})
     if q == 0:
         return direct("direct")
@@ -429,15 +422,18 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
 
     check_deadline("auxiliary-pack")
     sparse_star = [result.partition_star[i] for i in range(q)]
-    j_graph, j_classes = build_auxiliary(g, sparse_star, b1pack, r)
-    jpack = pack_apex_multipartite(j_graph, j_classes, q, r - 1)
+    rows, j_classes = build_auxiliary(g, sparse_star, b1pack, r)
+    try:
+        jpack = pack_apex_multipartite(rows, j_classes, q, r - 1, deadline)
+    except Timeout as exc:
+        raise timed_out("auxiliary-pack", exc)
     if isinstance(jpack, PackFailure):
         stages.append({"stage": "auxiliary-pack", "result": f"hall failure at level {jpack.level}"})
         return direct("fallback")
     stages.append({"stage": "auxiliary-pack", "copies": len(jpack.copies)})
 
     check_deadline("expand")
-    expanded = expand_packing(j_classes, jpack, b1pack, r, q, g)
+    expanded = expand_packing(j_classes, jpack, b1pack, r, q)
     final = Packing(tuple(result.removed) + tuple(expanded), g.n)
     stages.append({"stage": "expand", "copies": len(final.copies)})
     return finish(True, final, "pipeline")

@@ -127,7 +127,7 @@ def test_criterion_7_hall_packer():
             g, part = hypothesis_deleted_multipartite(
                 [k * r] * q + [k], band / 2, band, seed
             )
-            res = pack_apex_multipartite(g, part, q, r)
+            res = pack_apex_multipartite(g.adj, part, q, r)
             ok &= not isinstance(res, PackFailure)
             ok &= verify_packing(pattern, g, res, require_perfect=True)
     _report("7 (hall packer)", ok, time.monotonic() - t0, 120.0)

@@ -15,7 +15,6 @@ from hfactor.graphs import (
     VertexSet,
     complete_graph,
     complete_multipartite,
-    contract_groups,
     density_between,
     density_within,
     induced,
@@ -125,17 +124,6 @@ def test_induced_on_blocker_classes_is_complete_bipartite():
     a = VertexSet.from_iterable([0] + list(range(1, 5)), g.n)  # U0 plus one class
     sub = induced(g, a)
     assert sub.edge_count() == 1 * 4
-
-
-def test_contract_groups_merges_each_group_into_its_first_vertex():
-    # path 0-1-2-3-4 plus edges 0-3 and 2-4; keep {0, 1}, merge (3, 2) and (4,)
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3), (2, 4)])
-    c = contract_groups(g, 0b11, [(3, 2), (4,)])
-    assert c.n == 6
-    assert sorted(c.edges()) == [(0, 1)]  # no kept vertex sees both 3 and 2
-    c = contract_groups(g, 0b11, [(2,), (3,)])
-    assert sorted(c.edges()) == [(0, 1), (0, 3), (1, 2)]
-    assert c.degree(4) == c.degree(5) == 0
 
 
 def test_partition_rejects_overlap():

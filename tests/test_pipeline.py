@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hfactor import pipeline
+from hfactor import hall, pipeline
 from hfactor.constructions import (
     CanonicalSpec,
     bottle_graph,
@@ -16,7 +16,7 @@ from hfactor.constructions import (
     kr_minus_extremal,
     remainder_pattern,
 )
-from hfactor.errors import BadParameter, Timeout
+from hfactor.errors import BadParameter, InternalError, Timeout
 from hfactor.generators import noisy_canonical, planted_sparse_graph, random_graph
 from hfactor.graphs import Graph, Partition, VertexSet, bits_of, complete_graph
 from hfactor.hall import HallWitness, PackFailure, pack_apex_multipartite
@@ -190,21 +190,21 @@ def test_build_auxiliary_edge_semantics():
     g = canonical_graph(spec)
     part = canonical_partition(spec)
     b1pack = pack_remainder_class(g, part[1], 4, 1)
-    j_graph, j_classes = build_auxiliary(g, [part[0]], b1pack, 4)
-    # each copy is merged into its least vertex; the host's order is kept
-    assert j_graph.n == 16
+    rows, j_classes = build_auxiliary(g, [part[0]], b1pack, 4)
+    # each copy is merged into its least vertex's row; the host's order is kept
+    assert len(rows) == 16
     heads = [cp.vertices[0] for cp in b1pack.copies]
     assert j_classes == Partition.from_lists([part[0], heads], 16)
     # complete host: every sparse vertex joined to every copy vertex
     for a in range(6):
         for x in heads:
-            assert j_graph.has_edge(a, x)
+            assert (rows[x] >> a) & 1
     # drop one host edge into the first copy: that auxiliary edge must vanish
     target = b1pack.copies[0].vertices[-1]
     g2 = g.drop_edges([(0, target)])
-    j_graph2, _ = build_auxiliary(g2, [part[0]], b1pack, 4)
-    assert not j_graph2.has_edge(0, heads[0])
-    assert j_graph2.has_edge(0, heads[1])
+    rows2, _ = build_auxiliary(g2, [part[0]], b1pack, 4)
+    assert not rows2[heads[0]] & 1
+    assert rows2[heads[1]] & 1
 
 
 @pytest.mark.parametrize(
@@ -251,9 +251,9 @@ def test_expand_packing_keeps_each_copy_within_one_remainder_component(r):
         g = Graph.from_edges(n, edges)
         b1pack = Packing((Copy(tuple(range(m)), tuple(range(m))),), n)
         classes = [VertexSet.from_iterable(part, n) for part in sparse]
-        j_graph, j_classes = build_auxiliary(g, classes, b1pack, r)
-        jpack = pack_apex_multipartite(j_graph, j_classes, q, r - 1)
-        copies = expand_packing(j_classes, jpack, b1pack, r, q, g)
+        rows, j_classes = build_auxiliary(g, classes, b1pack, r)
+        jpack = pack_apex_multipartite(rows, j_classes, q, r - 1)
+        copies = expand_packing(j_classes, jpack, b1pack, r, q)
         assert verify_packing(kr_minus(r), g, Packing(tuple(copies), n), require_perfect=True)
 
 
@@ -322,6 +322,57 @@ def test_pipeline_budget_bounds_sparse_set_detection():
         run_pipeline(g, 4, PipelineConfig(ladder=ladder, budget_secs=0.05))
     assert time.monotonic() - t0 < 0.25
     assert info.value.stages[-1] == {"stage": "sparse-sets", "result": "timeout"}
+
+
+def test_pipeline_budget_reaches_the_hall_packer(monkeypatch):
+    # q = r - 2: the route runs the Hall packer, which gets the run's deadline
+    # and whose Timeout keeps the stage trace
+    deadlines = []
+
+    def star_pack_out_of_time(rows, big, small, r, deadline=None):
+        deadlines.append(deadline)
+        raise Timeout("budget exhausted packing stars")
+
+    monkeypatch.setattr(hall, "star_pack", star_pack_out_of_time)
+    t0 = time.monotonic()
+    with pytest.raises(Timeout) as info:
+        run_pipeline(canonical_graph(CanonicalSpec(4, 2, 240)), 4, PipelineConfig(budget_secs=60.0))
+    assert len(deadlines) == 1 and t0 < deadlines[0] <= time.monotonic() + 60.0
+    assert info.value.stages[-1] == {"stage": "auxiliary-pack", "result": "timeout"}
+
+
+def test_hall_back_end_on_a_two_thousand_vertex_core_is_fast():
+    # the route's inputs to build_auxiliary are computed outside the timed part
+    g, _ = noisy_canonical(CanonicalSpec(4, 2, 2000), 12345, planted_exceptional=1)
+    ladder = TauLadder((Fraction(1, 10000), Fraction(1, 100)))
+    q, sparse_sets = find_sparse_sets(g, 4, ladder)
+    core = pipeline.tidy(g, sparse_sets, 4, ladder.tau_for(q)).partition_star
+    b1pack = pack_remainder_class(g, core[q], 4, q)
+    t0 = time.monotonic()
+    rows, classes = build_auxiliary(g, [core[i] for i in range(q)], b1pack, 4)
+    jpack = pack_apex_multipartite(rows, classes, q, 3)
+    assert time.monotonic() - t0 < 0.1
+    assert isinstance(jpack, Packing) and len(jpack.copies) == len(b1pack.copies)
+
+
+def test_pipeline_final_check_catches_an_invalid_expanded_copy(monkeypatch):
+    # expansion does not check its copies: a copy on a non-edge is caught by
+    # run_pipeline's check of the whole packing
+    real = pipeline.split_bottle_block
+    g = canonical_graph(CanonicalSpec(4, 2, 16))
+    bad: list[Copy] = []
+
+    def rotate_the_first_copy(parts, small):
+        first, *rest = real(parts, small)
+        if not bad:
+            bad.append(Copy(first.vertices, first.embedding[1:] + first.embedding[:1]))
+            first = bad[0]
+        return [first, *rest]
+
+    monkeypatch.setattr(pipeline, "split_bottle_block", rotate_the_first_copy)
+    with pytest.raises(InternalError):
+        run_pipeline(g, 4)
+    assert bad and not verify_packing(kr_minus(4), g, Packing(tuple(bad), g.n))
 
 
 @pytest.mark.parametrize(
@@ -395,8 +446,8 @@ def test_auxiliary_misses_bounded_by_host_misses():
     g = g.drop_edges(drops)
     b1pack = pack_remainder_class(g, part[1], 4, 1)
     assert b1pack is not None
-    j_graph, j_classes = build_auxiliary(g, [part[0]], b1pack, 4)
+    rows, j_classes = build_auxiliary(g, [part[0]], b1pack, 4)
     for v in part[0]:
         host_misses = sum(1 for w in part[1] if not g.has_edge(v, w))
-        j_misses = sum(1 for x in j_classes[1] if not j_graph.has_edge(v, x))
+        j_misses = sum(1 for x in j_classes[1] if not (rows[x] >> v) & 1)
         assert j_misses <= host_misses
