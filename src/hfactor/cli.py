@@ -62,29 +62,17 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     g = read_edge_list(args.host)
     stats = SearchStats()
     if args.max:
-        size = max_packing_size(h, g, args.budget_secs, stats=stats)
-        _emit(
-            {
-                "max_packing_size": size,
-                "copies": stats.copies,
-                "nodes_explored": stats.nodes,
-                "cuts": stats.cuts,
-                "elapsed": stats.elapsed,
-            }
-        )
-        return 0
-    packing = find_perfect_packing(h, g, args.budget_secs, stats=stats)
-    result = {
-        "decision": "exists" if packing is not None else "absent",
-        "packing": [list(c.vertices) for c in packing.copies] if packing else None,
-        "copies": stats.copies,
-        "nodes_explored": stats.nodes,
-        "cuts": stats.cuts,
-        "elapsed": stats.elapsed,
-    }
-    if packing is not None and not verify_packing(h, g, packing, require_perfect=True):
-        raise HFactorError("internal: packing failed verification")
-    _emit(result)
+        result = {"max_packing_size": max_packing_size(h, g, args.budget_secs, stats=stats)}
+    else:
+        packing = find_perfect_packing(h, g, args.budget_secs, stats=stats)
+        if packing is not None and not verify_packing(h, g, packing, require_perfect=True):
+            raise HFactorError("internal: packing failed verification")
+        result = {
+            "decision": "exists" if packing is not None else "absent",
+            "packing": [list(c.vertices) for c in packing.copies] if packing else None,
+        }
+    counts = {"copies": stats.copies, "nodes_explored": stats.nodes, "cuts": stats.cuts}
+    _emit({**result, **counts, "elapsed": stats.elapsed})
     return 0
 
 
@@ -156,8 +144,12 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     g = read_edge_list(args.host)
     ladder = None
     if args.ladder:
-        values = tuple(Fraction(v) for v in json.loads(args.ladder))
-        ladder = pipeline.TauLadder(values)
+        values = json.loads(args.ladder)
+        if not isinstance(values, list) or not all(
+            isinstance(v, (int, str)) or isinstance(v, float) and math.isfinite(v) for v in values
+        ):
+            raise BadParameter(f"--ladder is not a list of finite numbers or strings: {args.ladder}")
+        ladder = pipeline.TauLadder(tuple(Fraction(v) for v in values))
     cfg = pipeline.PipelineConfig(ladder=ladder, budget_secs=args.budget_secs)
     result = pipeline.run_pipeline(g, args.r, cfg)
     payload = {

@@ -14,14 +14,13 @@ centre set, and that set is returned.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadParameter, InternalError, Timeout
+from .errors import BadParameter, InternalError
 from .graphs import Partition, VertexSet, bits_of
-from .solver import _TIME_CHECK_MASK, Copy, Packing
+from .solver import CLOCK_EVERY, Copy, Packing, read_clock
 
 
 def default_tolerance(q: int, r: int) -> Fraction:
@@ -75,9 +74,8 @@ def star_pack(
     When a search fails it has visited every leaf alternating paths reach
     from its slot, and each of them is held: the witness is the root's
     centre plus the centres holding those leaves, whose neighbourhood in
-    `big` is exactly the visited leaves, so |N(S) & big| < r |S|. The
-    clock counts leaves picked or visited, and Timeout is raised once
-    ``time.monotonic()`` passes ``deadline``.
+    `big` is exactly the visited leaves, so |N(S) & big| < r |S|.
+    ``read_clock`` counts leaves picked or visited.
     """
     centers = small.to_list()
     if len(big) != r * len(centers):
@@ -125,7 +123,7 @@ def star_pack(
             untried.append(slot_adj[owner])
         return False, visited
 
-    work, tick = 0, _TIME_CHECK_MASK + 1
+    work, tick = 0, CLOCK_EVERY
     for slot in range(n_slots):
         free = slot_adj[slot] & ~held
         if free:
@@ -148,9 +146,9 @@ def star_pack(
             held |= visited  # gains the free leaf the path ends at
             work += visited.bit_count()
         if work >= tick:
-            tick = (work | _TIME_CHECK_MASK) + 1
-            if deadline is not None and time.monotonic() > deadline:
-                raise Timeout(f"budget exhausted packing stars, {slot + 1} of {n_slots} slots held")
+            tick = read_clock(
+                work, deadline, f"budget exhausted packing stars, {slot + 1} of {n_slots} slots held"
+            )
     stars = (tuple(sorted(match_of_slot[i : i + r])) for i in range(0, n_slots, r))
     return StarPacking(tuple(zip(centers, stars)))
 

@@ -34,12 +34,14 @@ from .errors import BadParameter, InternalError, Stuck, Timeout
 from .graphs import Graph, Partition, VertexSet, bits_of, edges_within, induced
 from .hall import PackFailure, pack_apex_multipartite
 from .solver import (
-    _TIME_CHECK_MASK,
+    CLOCK_EVERY,
     DEFAULT_BUDGET_SECS,
     Copy,
     Packing,
     find_perfect_packing,
     packing_defect,
+    read_clock,
+    start_clock,
 )
 from .tidy import TidyResult, tidy
 
@@ -104,24 +106,21 @@ def _improve_sparse_set(
     u) or at m + 1 adjacent to u can win. The counts are kept for every
     host vertex; a swap changes only those of the vertices in exactly one
     of adj[u] and adj[v]. The outsiders, and the members in ascending
-    order, are kept as lists across swaps. Each step scans the pool; the
-    clock counts those vertices, and Timeout is raised once
-    ``time.monotonic()`` passes ``deadline``.
+    order, are kept as lists across swaps. Each step scans the pool, and
+    ``read_clock`` counts those vertices.
     """
     adj = g.adj
     inside = [(a & bits).bit_count() for a in adj]
     outside = list(bits_of(pool & ~bits))
     members = list(bits_of(bits))
     scanned = pool.bit_count()
-    work, tick = 0, _TIME_CHECK_MASK + 1
+    work, tick = 0, CLOCK_EVERY
     for _ in range(max_swaps):
         if not outside:
             break
         work += scanned
         if work >= tick:
-            tick = (work | _TIME_CHECK_MASK) + 1
-            if deadline is not None and time.monotonic() > deadline:
-                raise Timeout("budget exhausted finding sparse sets")
+            tick = read_clock(work, deadline, "budget exhausted finding sparse sets")
         low = min(inside[v] for v in outside)
         at_low = at_next = 0
         for v in outside:
@@ -204,7 +203,7 @@ def find_sparse_sets(
     """Largest q admitting q disjoint canonical-size sets of density <= tau_q.
 
     q = 0 means no sparse structure was found (the non-extremal regime).
-    Timeout is raised once ``time.monotonic()`` passes ``deadline``.
+    The swaps read ``deadline`` through ``read_clock``.
     """
     if len(ladder.values) < r - 2:
         raise BadParameter(f"ladder has {len(ladder.values)} levels, r = {r} needs {r - 2}")
@@ -342,28 +341,19 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
     Follows the sparse-set route when the host is extremal-like, else
     (or on any intermediate dead end) the direct exact solver. The
     returned packing, when present, always verifies. The budget covers
-    the whole run: each solver call gets the time left of it, sparse-set
-    detection and the Hall packer read the deadline as they work, and the
-    deadline is checked again before tidy, the Hall packer and expansion.
-    A Timeout carries the stage trace so far as ``stages``.
+    the whole run (``start_clock`` reads it): each solver call gets the
+    time left of it, and ``read_clock`` reads the deadline in the other
+    loops and before tidy, the Hall packer and expansion. A Timeout
+    carries the stage trace so far, ending at its stage, as ``stages``.
     """
     cfg = config or PipelineConfig()
-    t0 = time.monotonic()
-    deadline = None if cfg.budget_secs is None else t0 + cfg.budget_secs
+    t0, deadline = start_clock(cfg.budget_secs)
     stages: list[dict] = []
     pattern = kr_minus(r)
+    stage = "sparse-sets"  # the stage running, where a Timeout is recorded
 
     def budget_left() -> float | None:
         return None if deadline is None else max(0.0, deadline - time.monotonic())
-
-    def timed_out(stage: str, exc: Timeout) -> Timeout:
-        stages.append({"stage": stage, "result": "timeout"})
-        exc.stages = stages
-        return exc
-
-    def check_deadline(stage: str) -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise timed_out(stage, Timeout(f"budget exhausted before {stage}"))
 
     def finish(decision: bool, packing: Packing | None, path: str) -> PipelineResult:
         if packing is not None:
@@ -373,10 +363,9 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
         return PipelineResult(decision, packing, path, stages, time.monotonic() - t0)
 
     def direct(path: str) -> PipelineResult:
-        try:
-            packing = find_perfect_packing(pattern, g, budget_left())
-        except Timeout as exc:
-            raise timed_out("solver", exc)
+        nonlocal stage
+        stage = "solver"
+        packing = find_perfect_packing(pattern, g, budget_left())
         stages.append({"stage": "solver", "result": "exists" if packing else "absent"})
         return finish(packing is not None, packing, path)
 
@@ -393,47 +382,47 @@ def run_pipeline(g: Graph, r: int, config: PipelineConfig | None = None) -> Pipe
     ladder = cfg.ladder or default_ladder(r)
     try:
         q, sparse_sets = find_sparse_sets(g, r, ladder, deadline)
-    except Timeout as exc:
-        raise timed_out("sparse-sets", exc)
-    stages.append({"stage": "sparse-sets", "q": q})
-    if q == 0:
-        return direct("direct")
+        stages.append({"stage": "sparse-sets", "q": q})
+        if q == 0:
+            return direct("direct")
 
-    check_deadline("tidy")
-    try:
-        result: TidyResult = tidy(g, sparse_sets, r, ladder.tau_for(q))
-    except Stuck as exc:
-        stages.append({"stage": "tidy", "result": f"stuck: {exc.stage}"})
-        return direct("fallback")
-    stages.append(
-        {"stage": "tidy", "n_star": result.n_star, "removed": len(result.removed)}
-    )
+        stage = "tidy"
+        read_clock(0, deadline, "budget exhausted before tidy")
+        try:
+            result: TidyResult = tidy(g, sparse_sets, r, ladder.tau_for(q))
+        except Stuck as exc:
+            stages.append({"stage": "tidy", "result": f"stuck: {exc.stage}"})
+            return direct("fallback")
+        stages.append({"stage": "tidy", "n_star": result.n_star, "removed": len(result.removed)})
 
-    remainder = result.partition_star[q]
-    try:
-        b1pack = pack_remainder_class(g, remainder, r, q, budget_left())
-    except Timeout:
-        stages.append({"stage": "remainder-pack", "result": "timeout"})
-        return direct("fallback")
-    if b1pack is None:
-        stages.append({"stage": "remainder-pack", "result": "absent"})
-        return direct("fallback")
-    stages.append({"stage": "remainder-pack", "copies": len(b1pack.copies)})
+        try:
+            b1pack = pack_remainder_class(g, result.partition_star[q], r, q, budget_left())
+        except Timeout:
+            stages.append({"stage": "remainder-pack", "result": "timeout"})
+            return direct("fallback")
+        if b1pack is None:
+            stages.append({"stage": "remainder-pack", "result": "absent"})
+            return direct("fallback")
+        stages.append({"stage": "remainder-pack", "copies": len(b1pack.copies)})
 
-    check_deadline("auxiliary-pack")
-    sparse_star = [result.partition_star[i] for i in range(q)]
-    rows, j_classes = build_auxiliary(g, sparse_star, b1pack, r)
-    try:
+        stage = "auxiliary-pack"
+        read_clock(0, deadline, "budget exhausted before auxiliary-pack")
+        sparse_star = [result.partition_star[i] for i in range(q)]
+        rows, j_classes = build_auxiliary(g, sparse_star, b1pack, r)
         jpack = pack_apex_multipartite(rows, j_classes, q, r - 1, deadline)
-    except Timeout as exc:
-        raise timed_out("auxiliary-pack", exc)
-    if isinstance(jpack, PackFailure):
-        stages.append({"stage": "auxiliary-pack", "result": f"hall failure at level {jpack.level}"})
-        return direct("fallback")
-    stages.append({"stage": "auxiliary-pack", "copies": len(jpack.copies)})
+        if isinstance(jpack, PackFailure):
+            failure = f"hall failure at level {jpack.level}"
+            stages.append({"stage": "auxiliary-pack", "result": failure})
+            return direct("fallback")
+        stages.append({"stage": "auxiliary-pack", "copies": len(jpack.copies)})
 
-    check_deadline("expand")
-    expanded = expand_packing(j_classes, jpack, b1pack, r, q)
+        stage = "expand"
+        read_clock(0, deadline, "budget exhausted before expand")
+        expanded = expand_packing(j_classes, jpack, b1pack, r, q)
+    except Timeout as exc:
+        stages.append({"stage": stage, "result": "timeout"})
+        exc.stages = stages
+        raise
     final = Packing(tuple(result.removed) + tuple(expanded), g.n)
     stages.append({"stage": "expand", "copies": len(final.copies)})
     return finish(True, final, "pipeline")

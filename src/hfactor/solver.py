@@ -25,21 +25,45 @@ beat the best. A cut only drops subtrees that cannot beat the best, so
 a negative answer is an exhaustive proof. Timeouts, which count
 enumeration time, are a first-class outcome and never conflated with a
 proven negative. Enumeration reads the clock by candidates scanned, not
-by sets stacked, so one long scan cannot run far past the budget.
+by sets stacked, so one long scan cannot run far past the budget. Every
+budgeted loop of the toolkit reads the clock through ``read_clock``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import Timeout
+from .errors import BadParameter, Timeout
 from .graphs import Graph, bits_of
 
 DEFAULT_BUDGET_SECS = 60.0
+CLOCK_EVERY = 1024  # units of work between two readings of the clock
 
-_TIME_CHECK_MASK = 0x3FF  # consult the clock every 1024 nodes or enumeration candidates
+
+def start_clock(budget_secs: float | None) -> tuple[float, float | None]:
+    """The ``time.monotonic()`` reading now, and the deadline ``budget_secs`` after it.
+
+    None means no deadline. A negative budget times out at the first
+    reading of the clock, an infinite one never; NaN raises BadParameter.
+    """
+    if budget_secs is not None and math.isnan(budget_secs):
+        raise BadParameter("the budget is NaN, not a number of seconds")
+    t0 = time.monotonic()
+    return t0, None if budget_secs is None else t0 + budget_secs
+
+
+def read_clock(work: int, deadline: float | None, message: str) -> int:
+    """Raise Timeout(message) once ``time.monotonic()`` passes ``deadline``.
+
+    Returns the next ``work`` count, at most ``CLOCK_EVERY`` units on, at
+    which the caller's loop reads the clock again.
+    """
+    if deadline is not None and time.monotonic() > deadline:
+        raise Timeout(message)
+    return (work | (CLOCK_EVERY - 1)) + 1
 
 
 class Copy(NamedTuple):
@@ -129,9 +153,8 @@ def enumerate_copies(h: Graph, g: Graph, deadline: float | None = None) -> list[
     never stacks a (k - 1)-set: it reads the set's last vertices off one
     mask, its common neighbourhood above its last vertex once the set is
     at the slack, else every vertex above it that adds at most one gap,
-    and emits those copies at once in ascending order. The clock counts
-    work, the candidates scanned at each stacked set and each (k - 1)-set,
-    and Timeout is raised once ``time.monotonic()`` passes ``deadline``.
+    and emits those copies at once in ascending order. ``read_clock``
+    counts the candidates scanned at each stacked set and each (k - 1)-set.
     """
     n, k = g.n, h.n
     if k > n:
@@ -160,9 +183,8 @@ def enumerate_copies(h: Graph, g: Graph, deadline: float | None = None) -> list[
     last = k - 1 if dense else k  # sets of this size are finished where they form
     out: list[Copy] = []
     full = (1 << n) - 1
-    # work counts the candidates scanned, at stacked sets and at (k - 1)-sets;
-    # the clock is read before the next candidate once it passes tick
-    work, tick = 0, _TIME_CHECK_MASK + 1
+    # the clock is read before the next candidate once the work reaches tick
+    work, tick = 0, CLOCK_EVERY
     # frame: vertices, their mask, common neighbourhood, missing edges, first missing pair
     stack = [((), 0, full, 0, None)]
     while stack:
@@ -175,9 +197,9 @@ def enumerate_copies(h: Graph, g: Graph, deadline: float | None = None) -> list[
         children = []
         while cands:
             if work >= tick:
-                tick = (work | _TIME_CHECK_MASK) + 1
-                if deadline is not None and time.monotonic() > deadline:
-                    raise Timeout(f"budget exhausted enumerating copies, {len(out)} found so far")
+                tick = read_clock(
+                    work, deadline, f"budget exhausted enumerating copies, {len(out)} found so far"
+                )
             low = cands & -cands
             cands ^= low
             v = low.bit_length() - 1
@@ -278,6 +300,7 @@ def _branch_and_bound(
     last bounded against; popped after the best has grown, it is bounded
     again and drops its untried copies if they cannot beat it.
     The search stops at the first packing that covers every vertex.
+    ``read_clock`` counts nodes, from the first.
     """
     copies = enumerate_copies(h, g, deadline)
     stats.copies = len(copies)
@@ -298,6 +321,7 @@ def _branch_and_bound(
     # node), then a branching node's coverable vertices and the best it was
     # last bounded against
     stack: list[tuple] = [(0, 0, (1 << len(copies)) - 1, (), None, 0, 0)]
+    tick = 1
     while stack:
         packed, blocked, active, chain, todo, coverable, seen = stack.pop()
         if todo:
@@ -323,9 +347,10 @@ def _branch_and_bound(
             proved[blocked] = best - packed
             continue
         stats.nodes += 1
-        if deadline is not None and (stats.nodes == 1 or not (stats.nodes & _TIME_CHECK_MASK)):
-            if time.monotonic() > deadline:
-                raise Timeout(f"search budget exhausted after {stats.nodes} nodes")
+        if stats.nodes >= tick:
+            tick = read_clock(
+                stats.nodes, deadline, f"search budget exhausted after {stats.nodes} nodes"
+            )
         if packed > best:
             best, best_chain = packed, chain
             if packed * k == n:
@@ -365,6 +390,17 @@ def _branch_and_bound(
     return [copies[i] for i in sorted(chosen)]
 
 
+def _timed_search(
+    h: Graph, g: Graph, t0: float, deadline: float | None, stats: SearchStats | None, floor: int
+) -> list[Copy] | None:
+    """``_branch_and_bound`` with its time since ``t0`` recorded in ``stats``."""
+    stats = SearchStats() if stats is None else stats
+    try:
+        return _branch_and_bound(h, g, deadline, stats, floor)
+    finally:
+        stats.elapsed = time.monotonic() - t0
+
+
 def find_perfect_packing(
     h: Graph,
     g: Graph,
@@ -375,19 +411,15 @@ def find_perfect_packing(
 
     Raises Timeout when the budget, which covers copy enumeration as well
     as the search, runs out before the search finishes; a None return is
-    always a completed proof of nonexistence. A caller supplied
-    SearchStats is filled with copy, node and cut counts and elapsed time.
+    always a completed proof of nonexistence (``start_clock`` reads the
+    budget). A caller supplied SearchStats is filled with copy, node and
+    cut counts and elapsed time.
     """
+    t0, deadline = start_clock(budget_secs)
     if h.n == 0 or g.n % h.n:
         return None
     # an empty host falls through to the empty perfect packing
-    stats = SearchStats() if stats is None else stats
-    t0 = time.monotonic()
-    deadline = None if budget_secs is None else t0 + budget_secs
-    try:
-        chosen = _branch_and_bound(h, g, deadline, stats, g.n // h.n - 1)
-    finally:
-        stats.elapsed = time.monotonic() - t0
+    chosen = _timed_search(h, g, t0, deadline, stats, g.n // h.n - 1)
     return None if chosen is None else Packing(tuple(chosen), g.n)
 
 
@@ -402,18 +434,13 @@ def max_packing_size(
     The bound at each node is packed + coverable // |H| where coverable
     counts vertices still lying in some active copy, tightened by a
     greedy transversal. The budget covers copy enumeration as well as the
-    search. A caller supplied SearchStats is filled with copy, node and
-    cut counts and elapsed time.
+    search (``start_clock`` reads it). A caller supplied SearchStats is
+    filled with copy, node and cut counts and elapsed time.
     """
+    t0, deadline = start_clock(budget_secs)
     if h.n == 0 or h.n > g.n:
         return 0
-    stats = SearchStats() if stats is None else stats
-    t0 = time.monotonic()
-    deadline = None if budget_secs is None else t0 + budget_secs
-    try:
-        chosen = _branch_and_bound(h, g, deadline, stats, 0)
-    finally:
-        stats.elapsed = time.monotonic() - t0
+    chosen = _timed_search(h, g, t0, deadline, stats, 0)
     return 0 if chosen is None else len(chosen)
 
 

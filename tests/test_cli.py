@@ -283,6 +283,11 @@ def test_cli_threshold_table(capsys):
         (["random", "--n", "-3", "--p", "0.5", "--seed", "1", "--out", "{bad}"], None),
         (["random", "--n", "5", "--p", "1.5", "--seed", "1", "--out", "{bad}"], None),
         (["random", "--n", "5", "--p", "nan", "--seed", "1", "--out", "{bad}"], None),
+        (["pipeline", "--host", "{pattern}", "--r", "4", "--ladder", "5"], None),
+        (["pipeline", "--host", "{pattern}", "--r", "4", "--ladder", "[[1]]"], None),
+        (["pipeline", "--host", "{pattern}", "--r", "4", "--ladder", "[Infinity]"], None),
+        (["pack", "--pattern", "{pattern}", "--host", "{pattern}", "--budget-secs", "nan"], None),
+        (["pipeline", "--host", "{pattern}", "--r", "4", "--budget-secs", "nan"], None),
     ],
     ids=[
         "non-integer",
@@ -303,6 +308,11 @@ def test_cli_threshold_table(capsys):
         "random-negative-order",
         "random-p-above-one",
         "random-p-nan",
+        "ladder-not-a-list",
+        "ladder-nested",
+        "ladder-infinite",
+        "pack-budget-nan",
+        "pipeline-budget-nan",
     ],
 )
 def test_cli_bad_input_is_a_one_line_error(capsys, tmp_path, pattern_file, argv, text):

@@ -120,6 +120,30 @@ def test_star_pack_reads_the_clock_by_leaves_visited(m):
     assert star_pack(g.adj, leaves, centres, 1, time.monotonic() + 60.0).stars == stars
 
 
+def test_star_pack_reads_the_clock_once_per_1024_units_of_work(monkeypatch):
+    # the m = 1000 chain host: 999 free-leaf picks, then a path that visits
+    # all 1,000 leaves, so the count passes 1,024 once, at the last slot
+    m = 1000
+    edges = [(i, m + i) for i in range(m - 1)] + [(i, m + i + 1) for i in range(m - 1)]
+    g = Graph.from_edges(2 * m, edges + [(m - 1, m)])
+    leaves = VertexSet.from_iterable(range(m, 2 * m), g.n)
+    centres = VertexSet.from_iterable(range(m), g.n)
+    deadline = time.monotonic() + 60.0
+    real = time.monotonic
+    reads = 0
+
+    def counted_monotonic():
+        nonlocal reads
+        reads += 1
+        return real()
+
+    monkeypatch.setattr(time, "monotonic", counted_monotonic)
+    sp = star_pack(g.adj, leaves, centres, 1, deadline)
+    monkeypatch.undo()
+    assert isinstance(sp, StarPacking)
+    assert reads == 1
+
+
 def test_star_pack_takes_a_free_leaf_before_it_searches():
     # each slot, in order, takes its least leaf that no slot holds yet: no
     # slot moves another, where an augmenting search from each slot would

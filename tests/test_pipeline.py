@@ -31,7 +31,13 @@ from hfactor.pipeline import (
     run_pipeline,
     threshold_table,
 )
-from hfactor.solver import Copy, Packing, find_perfect_packing, verify_packing
+from hfactor.solver import (
+    Copy,
+    Packing,
+    find_perfect_packing,
+    max_packing_size,
+    verify_packing,
+)
 
 
 def test_default_ladder_shape():
@@ -285,6 +291,31 @@ def test_pipeline_timeout_keeps_the_stage_trace():
     stages = info.value.stages
     assert [s["stage"] for s in stages] == ["degree-check", "sparse-sets", "solver"]
     assert stages[-1] == {"stage": "solver", "result": "timeout"}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda g: find_perfect_packing(kr_minus(5), g, float("nan")),
+        lambda g: max_packing_size(kr_minus(5), g, float("nan")),
+        lambda g: run_pipeline(g, 5, PipelineConfig(budget_secs=float("nan"))),
+    ],
+    ids=["find_perfect_packing", "max_packing_size", "run_pipeline"],
+)
+@pytest.mark.parametrize("n", [35, 3], ids=["searched", "decided-at-once"])
+def test_a_nan_budget_is_a_bad_parameter(entry, n):
+    # no deadline passes a NaN one, so the solver read it as no budget;
+    # it is refused before any answer, even one that needs no search
+    with pytest.raises(BadParameter):
+        entry(random_graph(n, 0.8, 5))
+
+
+def test_negative_and_infinite_budgets_keep_their_meaning():
+    g = kr_minus_extremal(4, 3)
+    with pytest.raises(Timeout):
+        find_perfect_packing(kr_minus(4), g, -1.0)
+    assert find_perfect_packing(kr_minus(4), g, float("inf")) is None
+    assert run_pipeline(g, 4, PipelineConfig(budget_secs=float("inf"))).decision is False
 
 
 def test_pipeline_budget_covers_both_solver_calls(monkeypatch):

@@ -154,6 +154,30 @@ def test_budget_bounds_enumeration_on_a_large_host():
     assert time.monotonic() - t0 < 1.0
 
 
+def test_search_reads_the_clock_at_node_one_then_every_1024_nodes(monkeypatch):
+    # a hub joined to one vertex of each of three K11s: no perfect matching,
+    # found out after 2,800 nodes on 168 copies. Enumeration scans fewer than
+    # 1,024 candidates, so the reads are the start, nodes 1, 1,024 and 2,048,
+    # and the elapsed time
+    g = disjoint_union([empty_graph(1)] + [complete_graph(11)] * 3).add_edges(
+        [(0, 1), (0, 12), (0, 23)]
+    )
+    real = time.monotonic
+    reads = 0
+
+    def counted_monotonic():
+        nonlocal reads
+        reads += 1
+        return real()
+
+    monkeypatch.setattr(time, "monotonic", counted_monotonic)
+    stats = SearchStats()
+    assert find_perfect_packing(complete_graph(2), g, 60.0, stats) is None
+    monkeypatch.undo()
+    assert stats.nodes > 2048 and stats.copies == 168
+    assert reads == 5
+
+
 @pytest.mark.parametrize("entry", [find_perfect_packing, max_packing_size])
 def test_entry_points_leave_no_cyclic_garbage(entry):
     h, g = kr_minus(4), kr_minus_extremal(4, 3)
